@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .extension import mcshane_extend
-from .graph import MetricMeasureGraph
+from .graph import Metric, MetricMeasureGraph
 from .util import InputError
 
 
@@ -50,11 +50,10 @@ class AMLEProblem:
     graph: MetricMeasureGraph
     boundary: tuple[int, ...]
     g: dict[int, float]
-    metric_choice: str = "graph"
+    metric_choice: Metric = "graph"
 
     def __post_init__(self):
-        if self.metric_choice not in ("graph", "essential"):
-            raise InputError(f"unknown metric_choice {self.metric_choice!r}")
+        self.edge_mask()  # rejects an unknown metric spelling
         bd = tuple(sorted(int(v) for v in self.boundary))
         if not bd:
             raise InputError("boundary must be nonempty")
@@ -70,9 +69,8 @@ class AMLEProblem:
         object.__setattr__(self, "g", {v: float(self.g[v]) for v in bd})
 
     def edge_mask(self) -> np.ndarray | None:
-        if self.metric_choice == "essential":
-            return self.graph.positive_edge_mask()
-        return None
+        """Edges of the problem's metric; ``None`` when all edges count."""
+        return self.graph._metric(self.metric_choice)[1]
 
 
 @dataclass(frozen=True)
@@ -202,11 +200,6 @@ class _Sweep:
             u[cls.verts] = np.maximum.reduceat(mins, cls.outer)
 
 
-def _reachable_from(G: MetricMeasureGraph, sources: Sequence[int], mask) -> np.ndarray:
-    dist = G.distances_from(list(sources), mask=mask, min_only=True)
-    return np.isfinite(dist)
-
-
 def solve_amle(
     problem: AMLEProblem,
     tol: float = 1e-10,
@@ -231,7 +224,11 @@ def solve_amle(
     ids = G.vertex_ids
     bset = set(problem.boundary)
 
-    reach = _reachable_from(G, problem.boundary, mask)
+    reach = np.isfinite(
+        G.distances_from(
+            list(problem.boundary), mask=problem.metric_choice, min_only=True
+        )
+    )
     interior_idx = np.asarray(
         [i for i in range(G.n_vertices) if int(ids[i]) not in bset], dtype=np.int64
     )
@@ -353,7 +350,7 @@ def comparison_check(
     p1, p2 = u1.problem, u2.problem
     if p1.graph is not p2.graph or p1.boundary != p2.boundary:
         raise InputError("comparison_check needs solutions of matching problems")
-    if p1.metric_choice != p2.metric_choice:
+    if not np.array_equal(p1.edge_mask(), p2.edge_mask()):
         raise InputError("comparison_check needs a common metric choice")
     for v in p1.boundary:
         if p1.g[v] > p2.g[v]:

@@ -16,14 +16,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import Ball, MetricMeasureGraph
-from .util import InputError, LENGTH_TOL, MEASURE_TOL, ordered_map
+from .graph import Ball, Metric, MetricMeasureGraph
+from .util import InputError, LENGTH_TOL, ordered_map
 
 #: Scalar and gradient fields are plain mappings vertex id -> value.
 ScalarField = Mapping[int, float]
@@ -229,7 +229,7 @@ def essential_distance(G: MetricMeasureGraph, x: int, y: int) -> float:
     xi, yi = G.index_of(x), G.index_of(y)
     if xi == yi:
         return 0.0
-    dist = G.distances_from([x], mask=G.positive_edge_mask(), min_only=True)
+    dist = G.distances_from([x], mask="essential", min_only=True)
     return float(dist[yi])
 
 
@@ -256,7 +256,7 @@ def quasiconvexity_constant(
     G: MetricMeasureGraph,
     ambient: str | Callable[[int, int], float] = "euclidean",
     R: float = math.inf,
-    metric_choice: str = "graph",
+    metric_choice: Metric = "graph",
     seed: int = 0,
     max_pairs: int = 100_000,
     exhaustive_limit: int = 2000,
@@ -271,12 +271,8 @@ def quasiconvexity_constant(
     n = G.n_vertices
     if n == 0:
         raise InputError("quasiconvexity of an empty graph")
-    if metric_choice == "graph":
-        mask = None
-    elif metric_choice == "essential":
-        mask = G.positive_edge_mask()
-    else:
-        raise InputError(f"unknown metric_choice {metric_choice!r}")
+    name, mask = G._metric(metric_choice)
+    metric = mask if name is None else name  # a predicate is evaluated once
     if not (R > 0):
         raise InputError("R must be positive")
     ids = G.vertex_ids
@@ -291,7 +287,7 @@ def quasiconvexity_constant(
     if exhaustive:
         def scan_source(i: int):
             amb = _ambient_rows(G, ambient, np.asarray([i]))[0]
-            dist = G.distances_from([int(ids[i])], mask=mask, min_only=True)
+            dist = G.distances_from([int(ids[i])], mask=metric, min_only=True)
             cols = np.arange(i + 1, n)
             amb, dist = amb[cols], dist[cols]
             zero_amb = amb <= 0
@@ -338,7 +334,7 @@ def quasiconvexity_constant(
         amb = _ambient_rows(G, ambient, np.asarray([src[i]]))[0][tgt]
         if np.any(amb <= 0):
             raise InputError("ambient distance 0 between distinct vertices")
-        dist = G.distances_from([int(ids[src[i]])], mask=mask, min_only=True)[tgt]
+        dist = G.distances_from([int(ids[src[i]])], mask=metric, min_only=True)[tgt]
         within = amb < R
         tgt, amb, dist = tgt[within], amb[within], dist[within]
         if tgt.size == 0:
@@ -385,7 +381,6 @@ def doubling_ratios(
             raise InputError(f"scales must be positive and finite, got {r}")
 
     def rows_for(c: int) -> list[DoublingRow]:
-        ci = G.index_of(c)
         rmax = 2.0 * max(scales)
         dist = G.distances_from([c], limit=rmax, min_only=True)
         out = []
@@ -394,7 +389,6 @@ def doubling_ratios(
             outer = float(G.mu[dist < 2.0 * r].sum())
             ratio = outer / inner if inner > 0 else math.inf
             out.append(DoublingRow(int(c), float(r), inner, outer, ratio))
-        del ci
         return out
 
     rows: list[DoublingRow] = []

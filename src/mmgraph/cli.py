@@ -123,14 +123,6 @@ def read_vector_csv(path: str) -> dict[int, tuple]:
     return out
 
 
-def _metric_filter(G, choice: str):
-    if choice == "graph":
-        return None
-    if choice == "essential":
-        return "positive"
-    raise InputError(f"unknown metric {choice!r} (use graph or essential)")
-
-
 def _load_spec(text: str) -> dict:
     if text.lstrip().startswith("{"):
         raw = text
@@ -170,13 +162,11 @@ def cmd_gen(args) -> int:
 
 def _dist_common(args, metric: str) -> int:
     G = load_graph(args.graph)
-    mask = G.edge_mask(_metric_filter(G, metric))
     sources = parse_int_list(args.source)
     if args.target is not None:
-        flt = None if metric == "graph" else "positive"
         best = None
         for s in sources:
-            res = shortest_path(G, s, args.target, edge_filter=flt)
+            res = shortest_path(G, s, args.target, edge_filter=metric)
             if best is None or res.length < best[1].length:
                 best = (s, res)
         s, res = best
@@ -193,7 +183,7 @@ def _dist_common(args, metric: str) -> int:
             },
         )
         return 0
-    d = G.distances_from(sources, mask=mask, min_only=True)
+    d = G.distances_from(sources, mask=metric, min_only=True)
     values = {int(v): float(d[G.index_of(int(v))]) for v in G.vertex_ids}
     _write_text(args.out, _scalar_csv(values))
     return 0
@@ -271,7 +261,6 @@ def cmd_extend(args) -> int:
     else:
         out = extension.mcshane_extend(G, omega, data, metric_choice=args.metric)
     _write_text(args.out, _scalar_csv(out))
-    metric = None if args.metric == "graph" else args.metric
     finite_part = {v: x for v, x in out.items() if np.isfinite(x)}
     unreachable = sorted(v for v, x in out.items() if not np.isfinite(x))
     payload = {
@@ -280,8 +269,8 @@ def cmd_extend(args) -> int:
         "metric": args.metric,
         "truncated": bool(args.truncate),
         "omega_size": len(omega),
-        "lip_boundary": lipschitz_constant(G, data, metric=metric),
-        "lip_extension": lipschitz_constant(G, finite_part, metric=metric),
+        "lip_boundary": lipschitz_constant(G, data, metric=args.metric),
+        "lip_extension": lipschitz_constant(G, finite_part, metric=args.metric),
         "sup_norm": max(abs(v) for v in finite_part.values()),
         "unreachable": unreachable,
     }

@@ -18,14 +18,15 @@ broken cover.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .graph import MetricMeasureGraph, lipschitz_constant
+from .graph import Metric, MetricMeasureGraph, _max_pair_ratio, lipschitz_constant
 from .util import CertifyError, InputError, LENGTH_TOL
 
 
@@ -161,7 +162,7 @@ def mcshane_extend(
     G: MetricMeasureGraph,
     omega: Sequence[int],
     u: Mapping[int, float],
-    metric_choice: str = "graph",
+    metric_choice: Metric = "graph",
 ) -> dict[int, float]:
     """Largest-slope-preserving extension of scalar data on Omega.
 
@@ -172,62 +173,43 @@ def mcshane_extend(
     vector analog, which is what the Whitney route is for.
     """
     om = _check_omega(G, omega, u)
-    if metric_choice == "graph":
-        mask = None
-    elif metric_choice == "essential":
-        mask = G.positive_edge_mask()
-    else:
-        raise InputError(f"unknown metric_choice {metric_choice!r}")
-    lip = lipschitz_constant(G, {v: float(u[v]) for v in om}, metric_choice)
-    out = _offset_multisource(G, {v: float(u[v]) for v in om}, lip, mask)
-    for v in om:
-        out[v] = float(u[v])
-    return out
-
-
-def _offset_multisource(
-    G: MetricMeasureGraph,
-    offsets: Mapping[int, float],
-    slope: float,
-    mask: np.ndarray | None,
-) -> dict[int, float]:
-    """min over sources y of offsets[y] + slope * d(y, x), for every x."""
-    indptr, heads, eidx = G._adjacency()
-    ids = G.vertex_ids
+    vals = np.asarray([float(u[v]) for v in om])
+    lip = lipschitz_constant(G, dict(zip(om, vals)), metric_choice)
+    csr = G._csr(metric_choice)
     n = G.n_vertices
-    best = np.full(n, math.inf)
-    done = np.zeros(n, dtype=bool)
-    heap: list[tuple[float, int]] = []
-    for v in sorted(offsets):
-        vi = G.index_of(v)
-        val = float(offsets[v])
-        if val < best[vi]:
-            best[vi] = val
-            heapq.heappush(heap, (val, vi))
-    lengths = G.edge_lengths
-    while heap:
-        d, vi = heapq.heappop(heap)
-        if done[vi]:
-            continue
-        done[vi] = True
-        for p in range(indptr[vi], indptr[vi + 1]):
-            if mask is not None and not mask[eidx[p]]:
-                continue
-            wi = int(heads[p])
-            if done[wi]:
-                continue
-            nd = d + slope * float(lengths[eidx[p]])
-            if nd < best[wi]:
-                best[wi] = nd
-                heapq.heappush(heap, (nd, wi))
-    return {int(ids[i]): float(best[i]) for i in range(n)}
+    om_idx = np.asarray([G.index_of(v) for v in om], dtype=np.int64)
+    # only Omega vertices in x's own component compete at x; offsetting by
+    # each component's smallest value keeps every weight at most the
+    # distance to that minimum, so no weight overflows when L is tiny
+    n_comp, labels = connected_components(csr, directed=False)
+    floor = np.full(n_comp, math.inf)
+    np.minimum.at(floor, labels[om_idx], vals)
+    floor = floor[labels]
+    if lip > 0:
+        # one search from a virtual source n joined to each y in Omega by
+        # an edge of weight (u(y) - floor) / L; explicit zeros stay edges
+        aug = csr_matrix(
+            (
+                np.concatenate([csr.data, (vals - floor[om_idx]) / lip]),
+                np.concatenate([csr.indices, om_idx]),
+                np.append(csr.indptr, csr.nnz + om_idx.size),
+            ),
+            shape=(n + 1, n + 1),
+        )
+        d = dijkstra(aug, directed=True, indices=n)[:n]
+        with np.errstate(invalid="ignore"):  # inf * 0 on Omega if L overflowed
+            tu = floor + lip * d
+    else:
+        tu = floor
+    tu[om_idx] = vals
+    return {int(v): float(x) for v, x in zip(G.vertex_ids, tu)}
 
 
 def truncate_extend(
     G: MetricMeasureGraph,
     omega: Sequence[int],
     u: Mapping[int, float],
-    metric_choice: str = "graph",
+    metric_choice: Metric = "graph",
 ) -> dict[int, float]:
     """McShane extension clamped to the sup-norm of the boundary data.
 
@@ -366,8 +348,6 @@ def whitney_cover(
         sep = alpha * 2.0 ** (k - 1)
         mind = np.full(len(ann), math.inf)
         owner = np.full(len(ann), -1, dtype=np.int64)
-        ann_ids = [int(ids[i]) for i in ann]
-        col = {i: j for j, i in enumerate(ann)}
         n_centers = 0
         for j, i in enumerate(ann):
             if mind[j] >= sep:
@@ -390,7 +370,6 @@ def whitney_cover(
             dom = brow[om_idx]
             near = float(np.min(dom))
             anchors.append(om[int(np.nonzero(dom <= near + 1e-15)[0][0])])
-        del ann_ids, col
 
     # invariant audits: block diameter and anchor proximity
     for bi, members in enumerate(blocks):
@@ -498,7 +477,7 @@ def whitney_extend(
 def vector_lipschitz_constant(
     G: MetricMeasureGraph,
     vf: VectorField,
-    metric: str | None = None,
+    metric: Metric = None,
 ) -> float:
     """Largest norm(f(x) - f(y)) / d(x, y) over pairs in the field's domain."""
     keys = sorted(vf.values)
@@ -507,29 +486,9 @@ def vector_lipschitz_constant(
     if len(keys) < 2:
         return 0.0
     vals = np.asarray([vf.values[k] for k in keys], dtype=float)
-    if metric in (None, "graph"):
-        mask = None
-    elif metric == "essential":
-        mask = G.positive_edge_mask()
-    else:
-        raise InputError(f"unknown metric choice {metric!r}")
-    dmat = np.atleast_2d(G.distances_from(keys, mask=mask))
-    cols = np.asarray([G.index_of(k) for k in keys], dtype=np.int64)
-    d = dmat[:, cols]
     diff = vals[:, None, :] - vals[None, :, :]
     if vf.norm == "max":
         dn = np.max(np.abs(diff), axis=2)
     else:
         dn = np.sqrt(np.sum(diff * diff, axis=2))
-    iu = np.triu_indices(len(keys), k=1)
-    d, dn = d[iu], dn[iu]
-    ok = np.isfinite(d)
-    d, dn = d[ok], dn[ok]
-    if d.size == 0:
-        return 0.0
-    if np.any((d <= 0) & (dn > 0)):
-        return math.inf
-    pos = d > 0
-    if not np.any(pos):
-        return 0.0
-    return float(np.max(dn[pos] / d[pos]))
+    return _max_pair_ratio(G, keys, dn, metric)

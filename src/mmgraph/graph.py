@@ -16,7 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -26,6 +26,17 @@ from scipy.sparse.csgraph import dijkstra as _dijkstra
 from .util import InputError
 
 EdgeFilter = Callable[["Edge"], bool]
+
+#: Every accepted way to name a metric: a metric name, an edge predicate,
+#: or a bool mask over the edges.  See ``MetricMeasureGraph._metric``.
+Metric = Union[str, None, EdgeFilter, np.ndarray]
+
+_METRIC_NAMES = {
+    None: "graph",
+    "graph": "graph",
+    "essential": "essential",
+    "positive": "essential",
+}
 
 
 @dataclass(frozen=True)
@@ -168,9 +179,11 @@ class MetricMeasureGraph:
         self._edge_ib = ib
         self._edge_len = elen
         self._edge_mu = emu
+        self._positive = emu > 0
+        self._positive.flags.writeable = False
         self._id_to_idx = {int(v): i for i, v in enumerate(ids)}
         self._adj = None
-        self._csr_cache: dict[object, csr_matrix] = {}
+        self._csr_cache: dict[str, csr_matrix] = {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -232,17 +245,35 @@ class MetricMeasureGraph:
 
     def positive_edge_mask(self) -> np.ndarray:
         """Mask of edges with positive measure (the non-negligible ones)."""
-        return self._edge_mu > 0
+        return self._positive.copy()
 
-    def edge_mask(self, edge_filter: EdgeFilter | str | None) -> np.ndarray:
-        """Boolean mask from None (all), "positive", or an edge predicate."""
-        if edge_filter is None:
-            return np.ones(self.n_edges, dtype=bool)
-        if edge_filter == "positive":
-            return self.positive_edge_mask()
-        return np.fromiter(
-            (bool(edge_filter(e)) for e in self.edges()), dtype=bool, count=self.n_edges
-        )
+    def edge_mask(self, edge_filter: Metric) -> np.ndarray:
+        """Boolean edge mask of any metric spelling (see ``_metric``)."""
+        _, mask = self._metric(edge_filter)
+        return np.ones(self.n_edges, dtype=bool) if mask is None else np.array(mask)
+
+    def _metric(self, metric: Metric) -> tuple[str | None, np.ndarray | None]:
+        """Resolve a metric spelling to ``(cache name, edge mask)``.
+
+        ``None`` and ``"graph"`` select every edge (mask ``None``);
+        ``"essential"`` and ``"positive"`` the positive-measure edges.  A
+        bool mask with one entry per edge passes through and an
+        :class:`Edge` predicate is evaluated on every edge; neither gets a
+        cache name.  Anything else is an input error.
+        """
+        if metric is None or isinstance(metric, str):
+            name = _METRIC_NAMES.get(metric)
+            if name is None:
+                raise InputError(f"unknown metric {metric!r} (use graph or essential)")
+            return name, (None if name == "graph" else self._positive)
+        if callable(metric):
+            return None, np.fromiter(
+                (bool(metric(e)) for e in self.edges()), dtype=bool, count=self.n_edges
+            )
+        mask = np.asarray(metric)
+        if mask.dtype != bool or mask.shape != (self.n_edges,):
+            raise InputError("edge mask must be a bool array with one entry per edge")
+        return None, mask
 
     def subgraph_edges(self, mask: np.ndarray) -> "MetricMeasureGraph":
         """New graph with the same vertices and only the masked edges."""
@@ -294,9 +325,10 @@ class MetricMeasureGraph:
             self._adj = (indptr, heads, eidx)
         return self._adj
 
-    def _csr(self, mask: np.ndarray | None = None) -> csr_matrix:
-        key = None if mask is None else mask.tobytes()
-        cached = self._csr_cache.get(key)
+    def _csr(self, metric: Metric = None) -> csr_matrix:
+        """Symmetric CSR of the metric's edges; the two named metrics are cached."""
+        name, mask = self._metric(metric)
+        cached = self._csr_cache.get(name)
         if cached is not None:
             return cached
         n = self.n_vertices
@@ -308,53 +340,54 @@ class MetricMeasureGraph:
         cols = np.concatenate([ib, ia])
         data = np.concatenate([w, w])
         mat = csr_matrix((data, (rows, cols)), shape=(n, n))
-        if len(self._csr_cache) < 4:
-            self._csr_cache[key] = mat
+        if name is not None:
+            self._csr_cache[name] = mat
         return mat
 
     def distances_from(
         self,
         source_ids: Sequence[int],
-        mask: np.ndarray | None = None,
+        mask: Metric = None,
         limit: float = np.inf,
         min_only: bool = False,
         return_nearest_source: bool = False,
     ):
         """Exact shortest-path distances from one or more sources.
 
-        Returns an array indexed by internal vertex index: one row per
-        source, or a single row when ``min_only`` is set.  With
+        ``mask`` takes any metric spelling (see ``_metric``).  Returns an
+        array indexed by internal vertex index: one row per source, or a
+        single row when ``min_only`` is set.  With
         ``return_nearest_source`` also returns, per vertex, the id of the
         nearest source (-1 where unreachable); requires ``min_only``.
         """
         idx = np.asarray([self.index_of(s) for s in source_ids], dtype=np.int64)
         if idx.size == 0:
             raise InputError("need at least one source vertex")
+        if return_nearest_source and not min_only:
+            raise InputError("nearest-source tracking requires min_only")
         lim = np.inf if not np.isfinite(limit) else float(limit) * (1 + 1e-9) + 1e-300
-        if return_nearest_source:
-            if not min_only:
-                raise InputError("nearest-source tracking requires min_only")
-            dist, _, srcs = _dijkstra(
-                self._csr(mask),
-                directed=False,
-                indices=idx,
-                limit=lim,
-                min_only=True,
-                return_predecessors=True,
-            )
-            out = np.full(self.n_vertices, -1, dtype=np.int64)
-            reach = srcs >= 0
-            out[reach] = self._ids[srcs[reach]]
-            return dist, out
-        dist = _dijkstra(
-            self._csr(mask), directed=False, indices=idx, limit=lim, min_only=min_only
+        # the CSR holds both directions of every edge, so the directed
+        # search is exact and skips scipy's per-call symmetrization
+        out = _dijkstra(
+            self._csr(mask),
+            directed=True,
+            indices=idx,
+            limit=lim,
+            min_only=min_only,
+            return_predecessors=return_nearest_source,
         )
-        return dist
+        if not return_nearest_source:
+            return out
+        dist, _, srcs = out
+        nearest = np.full(self.n_vertices, -1, dtype=np.int64)
+        reach = srcs >= 0
+        nearest[reach] = self._ids[srcs[reach]]
+        return dist, nearest
 
     def distance_matrix(
         self,
         source_ids: Sequence[int] | None = None,
-        mask: np.ndarray | None = None,
+        mask: Metric = None,
     ) -> np.ndarray:
         """Rows of the all-pairs distance matrix (all vertices by default)."""
         if source_ids is None:
@@ -385,10 +418,18 @@ class MetricMeasureGraph:
 def graph_from_dict(data: Mapping) -> MetricMeasureGraph:
     if not isinstance(data, Mapping) or "vertices" not in data or "edges" not in data:
         raise InputError("graph JSON must have 'vertices' and 'edges'")
-    for v in data["vertices"]:
-        if not isinstance(v.get("id"), int):
+    vertices, edges = data["vertices"], data["edges"]
+    if not isinstance(vertices, (list, tuple)) or not isinstance(edges, (list, tuple)):
+        raise InputError("graph JSON 'vertices' and 'edges' must be lists")
+    for v in vertices:
+        vid = v.get("id") if isinstance(v, Mapping) else None
+        if not isinstance(vid, int) or isinstance(vid, bool):
             raise InputError("vertex id must be an integer")
-    return MetricMeasureGraph(data["vertices"], data["edges"])
+    for e in edges:
+        ends = (e.get("a"), e.get("b")) if isinstance(e, Mapping) else (None, None)
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in ends):
+            raise InputError("edge endpoints must be integer vertex ids")
+    return MetricMeasureGraph(vertices, edges)
 
 
 def load_graph(path: str | os.PathLike) -> MetricMeasureGraph:
@@ -414,7 +455,7 @@ def shortest_path(
     G: MetricMeasureGraph,
     x: int,
     y: int,
-    edge_filter: EdgeFilter | None = None,
+    edge_filter: Metric = None,
 ) -> PathResult:
     """Exact shortest path between two vertices.
 
@@ -426,10 +467,15 @@ def shortest_path(
     xi, yi = G.index_of(x), G.index_of(y)
     if xi == yi:
         return PathResult(0.0, (int(x),))
-    keep = None if edge_filter is None else G.edge_mask(edge_filter)
+    _, keep = G._metric(edge_filter)
     return _heap_dijkstra_pair(G, xi, yi, keep)
 
 
+# This search stays next to scipy on purpose: the tie-break above is defined
+# by the order in which vertices settle.  Backtracking a scipy distance
+# array along tight edges (smallest (dist, id) predecessor) reproduces it on
+# ordinary inputs, but finds no predecessor when an edge vanishes in
+# rounding, fl(d + len) == d (say a 1e-300 edge among length-1 edges).
 def _heap_dijkstra_pair(G, xi, yi, keep_mask) -> PathResult:
     indptr, heads, eidx = G._adjacency()
     ids = G.vertex_ids
@@ -466,13 +512,12 @@ def ball(
     x: int,
     r: float,
     closed: bool = False,
-    edge_filter: EdgeFilter | None = None,
+    edge_filter: Metric = None,
 ) -> Ball:
     """Metric ball around ``x``: open ``d < r`` by default, closed ``d <= r``."""
     if not (r > 0) or not np.isfinite(r):
         raise InputError(f"ball radius must be positive and finite, got {r}")
-    mask = None if edge_filter is None else G.edge_mask(edge_filter)
-    dist = G.distances_from([x], mask=mask, limit=r, min_only=True)
+    dist = G.distances_from([x], mask=edge_filter, limit=r, min_only=True)
     inside = dist <= r if closed else dist < r
     members = G.vertex_ids[inside]
     return Ball(
@@ -485,13 +530,13 @@ def ball(
 
 
 def components(
-    G: MetricMeasureGraph, edge_filter: EdgeFilter | None = None
+    G: MetricMeasureGraph, edge_filter: Metric = None
 ) -> list[tuple[int, ...]]:
     """Connected components as sorted id tuples, ordered by smallest member."""
-    mask = None if edge_filter is None else G.edge_mask(edge_filter)
+    csr = G._csr(edge_filter)
     if G.n_vertices == 0:
         return []
-    _, labels = _cc(G._csr(mask), directed=False)
+    _, labels = _cc(csr, directed=False)
     parts: dict[int, list[int]] = {}
     for i, lab in enumerate(labels):
         parts.setdefault(int(lab), []).append(int(G.vertex_ids[i]))
@@ -501,7 +546,7 @@ def components(
 def lipschitz_constant(
     G: MetricMeasureGraph,
     u: Mapping[int, float],
-    metric: str | Callable[[int, int], float] | None = None,
+    metric: Metric | Callable[[int, int], float] = None,
 ) -> float:
     """Largest ratio ``|u(x) - u(y)| / metric(x, y)`` over pairs in ``u``.
 
@@ -534,22 +579,23 @@ def lipschitz_constant(
                     continue
                 best = max(best, du / d)
         return best
-    if metric in (None, "graph"):
-        mask = None
-    elif metric == "essential":
-        mask = G.positive_edge_mask()
-    else:
-        raise InputError(f"unknown metric choice {metric!r}")
-    dmat = G.distance_matrix(keys, mask=mask)
+    return _max_pair_ratio(G, keys, np.abs(vals[:, None] - vals[None, :]), metric)
+
+
+def _max_pair_ratio(
+    G: MetricMeasureGraph, keys: Sequence[int], diff: np.ndarray, metric: Metric
+) -> float:
+    """Largest ``diff[i, j] / d(keys[i], keys[j])`` over pairs ``i < j``.
+
+    Pairs at infinite distance are skipped; a positive ``diff`` at
+    distance zero gives ``inf``.
+    """
+    dmat = G.distance_matrix(keys, mask=metric)
     cols = np.asarray([G.index_of(k) for k in keys], dtype=np.int64)
-    d = dmat[:, cols]
-    du = np.abs(vals[:, None] - vals[None, :])
     iu = np.triu_indices(len(keys), k=1)
-    d, du = d[iu], du[iu]
+    d, du = dmat[:, cols][iu], diff[iu]
     finite = np.isfinite(d)
     d, du = d[finite], du[finite]
-    if d.size == 0:
-        return 0.0
     if np.any((d <= 0) & (du > 0)):
         return math.inf
     ok = d > 0

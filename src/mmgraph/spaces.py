@@ -353,7 +353,10 @@ def gen_multi_collapse(
     labels = np.full((nx, ny), -1, dtype=np.int64)
     centroids: list[tuple[float, float]] = []
     for c, E in enumerate(E_list):
-        pts = np.asarray(E, dtype=float)
+        try:
+            pts = np.asarray(E, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad continuum points: {exc}") from exc
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
             raise InputError("each continuum must be a nonempty list of 2D points")
         if np.any(pts[:, 0] < x0) or np.any(pts[:, 0] > x1) or np.any(
@@ -517,7 +520,7 @@ def gen_carpet(
     measure, so the essential metric disconnects), or a predicate on
     edge dicts marks a custom subset negligible.
     """
-    if not isinstance(level, int) or level < 1:
+    if not _is_int(level) or level < 1:
         raise InputError("carpet level must be a positive integer")
     if level > 6:
         raise SizeError("carpet level above 6 exceeds the supported size")
@@ -533,16 +536,8 @@ def gen_carpet(
     if negligible_mode == "none":
         return G
     if negligible_mode == "all":
-        return MetricMeasureGraph.from_arrays(
-            ids=G.vertex_ids,
-            mu=G.mu,
-            pos=G.pos,
-            edge_a=np.asarray([e.a for e in G.edges()], dtype=np.int64),
-            edge_b=np.asarray([e.b for e in G.edges()], dtype=np.int64),
-            edge_len=G.edge_lengths,
-            edge_mu=np.zeros(G.n_edges),
-        )
-    if callable(negligible_mode):
+        emu = np.zeros(G.n_edges)
+    elif callable(negligible_mode):
         emu = []
         for e in G.edges():
             pa = G.pos[G.index_of(e.a)]
@@ -553,16 +548,17 @@ def gen_carpet(
                 "bx": float(pb[0]), "by": float(pb[1]),
             }
             emu.append(0.0 if negligible_mode(info) else 1.0)
-        return MetricMeasureGraph.from_arrays(
-            ids=G.vertex_ids,
-            mu=G.mu,
-            pos=G.pos,
-            edge_a=np.asarray([e.a for e in G.edges()], dtype=np.int64),
-            edge_b=np.asarray([e.b for e in G.edges()], dtype=np.int64),
-            edge_len=G.edge_lengths,
-            edge_mu=np.asarray(emu),
-        )
-    raise InputError(f"unknown negligible_mode {negligible_mode!r}")
+    else:
+        raise InputError(f"unknown negligible_mode {negligible_mode!r}")
+    return MetricMeasureGraph.from_arrays(
+        ids=G.vertex_ids,
+        mu=G.mu,
+        pos=G.pos,
+        edge_a=G.vertex_ids[G._edge_ia],
+        edge_b=G.vertex_ids[G._edge_ib],
+        edge_len=G.edge_lengths,
+        edge_mu=np.asarray(emu, dtype=np.float64),
+    )
 
 
 # -- mesh specs ---------------------------------------------------------------
@@ -581,10 +577,13 @@ class MeshSpec:
     def from_dict(cls, d: Mapping) -> "MeshSpec":
         if "kind" not in d:
             raise InputError("mesh spec needs a 'kind'")
+        h = d.get("h")
+        if h is not None and not _is_real(h):
+            raise InputError(f"mesh step h must be a number, got {h!r}")
         params = {k: v for k, v in d.items() if k not in ("kind", "h", "negligible_mode")}
         return cls(
             kind=str(d["kind"]),
-            h=float(d["h"]) if "h" in d else None,
+            h=None if h is None else float(h),
             params=params,
             negligible_mode=str(d.get("negligible_mode", "none")),
         )
@@ -593,25 +592,55 @@ class MeshSpec:
         k = self.kind
         p = self.params
         if k == "grid":
-            return gen_grid(self._h(), rect=p.get("rect"), disc=p.get("disc"))
+            rect, disc = p.get("rect"), p.get("disc")
+            return gen_grid(
+                self._h(),
+                rect=None if rect is None else self._numbers("rect", 4),
+                disc=None if disc is None else self._numbers("disc", 3),
+            )
         if k == "cusp":
             psi = p.get("psi", p.get("psi_samples"))
             if psi is None:
                 raise InputError("cusp spec needs 'psi' or 'psi_samples'")
             return gen_cusp(psi, self._h())
         if k == "collapsed":
-            return gen_collapsed(p["e"], p["box"], self._h())
+            return gen_collapsed(self._need("e"), self._numbers("box", 4), self._h())
         if k == "multi_collapse":
-            return gen_multi_collapse(p["e_list"], p["box"], self._h())
+            return gen_multi_collapse(
+                self._need("e_list"), self._numbers("box", 4), self._h()
+            )
         if k == "simplicial":
             spec = dict(p)
             spec["h"] = self._h()
             return gen_simplicial(spec)
         if k == "carpet":
-            return gen_carpet(int(p["level"]), self.negligible_mode)
+            return gen_carpet(self._need("level"), self.negligible_mode)
         raise InputError(f"unknown mesh kind {self.kind!r}")
 
     def _h(self) -> float:
         if self.h is None:
             raise InputError(f"mesh kind {self.kind!r} needs 'h'")
         return self.h
+
+    def _need(self, name: str):
+        if name not in self.params:
+            raise InputError(f"mesh kind {self.kind!r} needs {name!r}")
+        return self.params[name]
+
+    def _numbers(self, name: str, count: int) -> list[float]:
+        val = self._need(name)
+        if (
+            not isinstance(val, (list, tuple, np.ndarray))
+            or len(val) != count
+            or not all(_is_real(x) for x in val)
+        ):
+            raise InputError(f"{name!r} must be a list of {count} numbers, got {val!r}")
+        return [float(x) for x in val]
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return _is_int(x) or isinstance(x, (float, np.floating))

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 #: Absolute tolerance for comparisons between lengths/distances.
 LENGTH_TOL = 1e-9
@@ -15,11 +13,6 @@ MEASURE_TOL = 1e-12
 
 #: Report schema version written into every JSON report.
 SCHEMA_VERSION = 1
-
-#: Environment variable controlling the size of the worker pool used for
-#: per-item report work.  Results are collected in input order, so the
-#: value never changes any output.
-THREADS_ENV_VAR = "MMGRAPH_THREADS"
 
 
 class InputError(ValueError):
@@ -38,27 +31,14 @@ T = TypeVar("T")
 U = TypeVar("U")
 
 
-def thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise InputError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    return max(1, n)
-
-
 def ordered_map(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
-    """Map ``fn`` over ``items``, preserving order.
+    """Map ``fn`` over ``items`` in order, sequentially.
 
-    Uses a thread pool of size ``MMGRAPH_THREADS`` when that is > 1.
-    Collection order is the input order either way, so outputs do not
-    depend on the pool size.
+    The per-source and per-ball loop shared by the report scans.
+    ``MMGRAPH_THREADS`` is accepted for compatibility and ignored: a
+    thread pool here measured slower than one thread.
     """
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def dump_json(obj: object, path_or_file) -> None:

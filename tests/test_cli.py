@@ -337,6 +337,54 @@ class TestErrorPaths:
     def test_whitney_needs_omega_or_boundary(self, grid_path):
         assert run("whitney", "--graph", grid_path) == 2
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("gen", {"kind": "collapsed", "h": 0.1}),
+            ("gen", {"kind": "collapsed", "h": 0.1, "e": [[0.5, 0.5]]}),
+            ("gen", {"kind": "collapsed", "h": 0.1, "e": "x", "box": [0, 0, 1, 1]}),
+            ("gen", {"kind": "grid", "h": "abc", "rect": [0, 0, 1, 1]}),
+            ("gen", {"kind": "grid", "h": True, "rect": [0, 0, 1, 1]}),
+            ("gen", {"kind": "grid", "h": 0.1, "rect": [0, 0, 1]}),
+            ("gen", {"kind": "grid", "h": 0.1, "disc": "abc"}),
+            ("gen", {"kind": "carpet"}),
+            ("gen", {"kind": "carpet", "level": "2"}),
+            ("gen", {"kind": "carpet", "level": 2.5}),
+            ("gen", {"kind": "carpet", "level": True}),
+            ("audit", {"vertices": [{"id": True, "mu": 1.0}], "edges": []}),
+            ("audit", {"vertices": [[0, 1.0]], "edges": []}),
+            ("audit", {"vertices": {"id": 0}, "edges": []}),
+            (
+                "audit",
+                {
+                    "vertices": [{"id": 0, "mu": 1.0}, {"id": 1, "mu": 1.0}],
+                    "edges": [{"a": 0, "b": True, "len": 1.0, "mu_edge": 1.0}],
+                },
+            ),
+        ],
+        ids=[
+            "collapsed-no-e", "collapsed-no-box", "collapsed-bad-e", "h-string",
+            "h-bool", "rect-short", "disc-string", "carpet-no-level",
+            "carpet-level-string", "carpet-level-float", "carpet-level-bool",
+            "vertex-id-bool", "vertex-not-object", "vertices-not-list",
+            "edge-end-bool",
+        ],
+    )
+    def test_malformed_input_exits_2_with_one_line(
+        self, command, payload, tmp_path, capsys
+    ):
+        text = json.dumps(payload)
+        if command == "gen":
+            argv = ("gen", "--spec", text, "--out", tmp_path / "g.json")
+        else:
+            graph = tmp_path / "bad.json"
+            graph.write_text(text)
+            argv = (command, "--graph", graph)
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
 
 class TestCsvReaders:
     def test_header_optional(self, tmp_path):
