@@ -107,41 +107,27 @@ class _ColorClass:
 class _Sweep:
     """Vectorized incidence structure for the relaxation sweeps.
 
+    Its rows are the active vertices' rows of the metric's CSR (see
+    ``MetricMeasureGraph._csr``), so only the metric's edges take part.
     Holds flat neighbor arrays for residual evaluation, plus a greedy
     coloring of the active vertices into independent classes with
     precomputed neighbor-pair coefficients for the exact local solve
     t* = max_i min_j (l_j u_i + l_i u_j) / (l_i + l_j).
     """
 
-    def __init__(self, G: MetricMeasureGraph, active_idx: np.ndarray, mask):
-        indptr, heads, eidx = G._adjacency()
-        rows: list[int] = []
-        nbrs_of: list[np.ndarray] = []
-        lens_of: list[np.ndarray] = []
-        nbr: list[int] = []
-        lens: list[float] = []
-        ptr = [0]
-        for vi in active_idx:
-            vn: list[int] = []
-            vl: list[float] = []
-            for p in range(indptr[vi], indptr[vi + 1]):
-                if mask is not None and not mask[eidx[p]]:
-                    continue
-                vn.append(int(heads[p]))
-                vl.append(float(G.edge_lengths[eidx[p]]))
-            nbr.extend(vn)
-            lens.extend(vl)
-            ptr.append(len(nbr))
-            rows.append(int(vi))
-            nbrs_of.append(np.asarray(vn, dtype=np.int64))
-            lens_of.append(np.asarray(vl, dtype=np.float64))
-        self.active = np.asarray(rows, dtype=np.int64)
-        self.starts = np.asarray(ptr[:-1], dtype=np.int64)
-        counts = np.diff(np.asarray(ptr, dtype=np.int64))
-        self.nbr = np.asarray(nbr, dtype=np.int64)
-        self.lens = np.asarray(lens, dtype=np.float64)
-        self.expand = np.repeat(np.arange(len(rows)), counts)
-        self.classes = self._color_classes(rows, nbrs_of, lens_of)
+    def __init__(self, csr, active_idx: np.ndarray):
+        sub = csr[active_idx]
+        # scipy's int32 indices would be cast to intp on every sweep
+        indptr, nbr = sub.indptr.astype(np.intp), sub.indices.astype(np.intp)
+        self.active = active_idx
+        self.starts = indptr[:-1]
+        self.nbr = nbr
+        self.lens = sub.data
+        self.expand = np.repeat(np.arange(active_idx.size), np.diff(indptr))
+        cuts = indptr[1:-1]
+        self.classes = self._color_classes(
+            active_idx.tolist(), np.split(nbr, cuts), np.split(sub.data, cuts)
+        )
 
     @staticmethod
     def _color_classes(rows, nbrs_of, lens_of) -> list[_ColorClass]:
@@ -220,7 +206,6 @@ def solve_amle(
     if not (tol > 0):
         raise InputError("tol must be positive")
     G = problem.graph
-    mask = problem.edge_mask()
     ids = G.vertex_ids
     bset = set(problem.boundary)
 
@@ -275,7 +260,7 @@ def solve_amle(
             problem=problem,
         )
 
-    sweep = _Sweep(G, active_idx, mask)
+    sweep = _Sweep(G._csr(problem.metric_choice), active_idx)
     iterations = 0
     while True:
         sup, sdn = sweep.slopes(u)
@@ -309,14 +294,14 @@ def check_amle_local(u: Mapping[int, float], problem: AMLEProblem) -> dict[int, 
     """
     G = problem.graph
     ids = G.vertex_ids
-    mask = problem.edge_mask()
     for v in problem.boundary:
         if v not in u:
             raise InputError(f"u missing boundary vertex {v}")
         if float(u[v]) != problem.g[v]:
             raise InputError(f"u differs from boundary data at vertex {v}")
     bset = set(problem.boundary)
-    indptr, heads, eidx = G._adjacency()
+    csr = G._csr(problem.metric_choice)
+    indptr, heads, lens = csr.indptr, csr.indices, csr.data
     out: dict[int, float] = {}
     for vi in range(G.n_vertices):
         vid = int(ids[vi])
@@ -324,15 +309,13 @@ def check_amle_local(u: Mapping[int, float], problem: AMLEProblem) -> dict[int, 
             continue
         sup, sdn = -math.inf, -math.inf
         for p in range(indptr[vi], indptr[vi + 1]):
-            if mask is not None and not mask[eidx[p]]:
-                continue
             wid = int(ids[heads[p]])
             if vid not in u or wid not in u:
                 raise InputError(f"u missing a value near vertex {vid}")
             ux, uw = float(u[vid]), float(u[wid])
             if not (np.isfinite(ux) and np.isfinite(uw)):
                 raise InputError(f"u not finite near vertex {vid}")
-            slope = (uw - ux) / float(G.edge_lengths[eidx[p]])
+            slope = (uw - ux) / float(lens[p])
             sup = max(sup, slope)
             sdn = max(sdn, -slope)
         out[vid] = abs(sup - sdn) if np.isfinite(sup) else 0.0
@@ -398,15 +381,8 @@ def infinity_harmonic_extend(
         if not np.isfinite(g[v]):
             raise InputError(f"g not finite at vertex {v}")
 
-    pmask = G.positive_edge_mask()
-    boundary = set()
-    for e in G.edges():
-        if not pmask[e.index]:
-            continue
-        if e.a in omset and e.b not in omset:
-            boundary.add(e.b)
-        elif e.b in omset and e.a not in omset:
-            boundary.add(e.a)
+    omega_idx = [G.index_of(v) for v in om]
+    boundary = {int(ids[i]) for i in G._csr("essential")[omega_idx].indices} - omset
 
     base_u = {v: float(g[v]) for v in comp}
     if not boundary:

@@ -276,79 +276,54 @@ def quasiconvexity_constant(
     if not (R > 0):
         raise InputError("R must be positive")
     ids = G.vertex_ids
+
+    def worst_from(i: int, cols: np.ndarray):
+        """Pairs scanned from vertex index ``i`` to ``cols`` and the worst row."""
+        amb = _ambient_rows(G, ambient, np.asarray([i]))[0][cols]
+        zero_amb = amb <= 0
+        if np.any(zero_amb):
+            j = cols[np.nonzero(zero_amb)[0][0]]
+            raise InputError(
+                f"ambient distance 0 between distinct vertices "
+                f"{int(ids[i])} and {int(ids[j])}"
+            )
+        within = amb < R
+        cols, amb = cols[within], amb[within]
+        if cols.size == 0:
+            return 0, None
+        dist = G.distances_from([int(ids[i])], mask=metric, min_only=True)[cols]
+        k = int(np.argmax(dist / amb))
+        row = QCRow(
+            source=int(ids[i]), target=int(ids[cols[k]]),
+            ambient=float(amb[k]), chosen=float(dist[k]),
+            ratio=float(dist[k] / amb[k]),
+        )
+        return cols.size, row
+
     exhaustive = n <= exhaustive_limit
+    if exhaustive:
+        def scan(i: int):
+            return worst_from(i, np.arange(i + 1, n))
+
+        items = list(range(n - 1))
+    else:
+        rng = np.random.default_rng(seed)
+        n_src = min(n, max(1, int(math.isqrt(max_pairs) * 2)))
+        per_src = max(1, max_pairs // n_src)
+        src = np.sort(rng.choice(n, size=n_src, replace=False))
+        rng_child = rng.spawn(n_src)
+
+        def scan(k: int):
+            tgt = rng_child[k].integers(0, n, size=per_src)
+            return worst_from(int(src[k]), tgt[tgt != src[k]])
+
+        items = list(range(n_src))
 
     best = 1.0
     worst: tuple[int, int] | None = None
     samples = 0
-
     rows: list[QCRow] = []
-
-    if exhaustive:
-        def scan_source(i: int):
-            amb = _ambient_rows(G, ambient, np.asarray([i]))[0]
-            dist = G.distances_from([int(ids[i])], mask=metric, min_only=True)
-            cols = np.arange(i + 1, n)
-            amb, dist = amb[cols], dist[cols]
-            zero_amb = amb <= 0
-            if np.any(zero_amb):
-                j = cols[np.nonzero(zero_amb)[0][0]]
-                raise InputError(
-                    f"ambient distance 0 between distinct vertices "
-                    f"{int(ids[i])} and {int(ids[j])}"
-                )
-            within = amb < R
-            cols, amb, dist = cols[within], amb[within], dist[within]
-            if cols.size == 0:
-                return 0, None
-            k = int(np.argmax(dist / amb))
-            row = QCRow(
-                source=int(ids[i]), target=int(ids[cols[k]]),
-                ambient=float(amb[k]), chosen=float(dist[k]),
-                ratio=float(dist[k] / amb[k]),
-            )
-            return cols.size, row
-
-        for cnt, row in ordered_map(scan_source, list(range(n - 1))):
-            samples += cnt
-            if row is not None:
-                rows.append(row)
-                if row.ratio > best:
-                    best, worst = row.ratio, (row.source, row.target)
-        return QuasiconvexityReport(
-            C=best, R=float(R), worst_pair=worst, samples=samples,
-            exhaustive=True, metric_choice=metric_choice, seed=None,
-            rows=tuple(rows),
-        )
-
-    rng = np.random.default_rng(seed)
-    n_src = min(n, max(1, int(math.isqrt(max_pairs) * 2)))
-    per_src = max(1, max_pairs // n_src)
-    src = np.sort(rng.choice(n, size=n_src, replace=False))
-
-    def scan_sample(i: int):
-        tgt = rng_child[i].integers(0, n, size=per_src)
-        tgt = tgt[tgt != src[i]]
-        if tgt.size == 0:
-            return 0, None
-        amb = _ambient_rows(G, ambient, np.asarray([src[i]]))[0][tgt]
-        if np.any(amb <= 0):
-            raise InputError("ambient distance 0 between distinct vertices")
-        dist = G.distances_from([int(ids[src[i]])], mask=metric, min_only=True)[tgt]
-        within = amb < R
-        tgt, amb, dist = tgt[within], amb[within], dist[within]
-        if tgt.size == 0:
-            return 0, None
-        k = int(np.argmax(dist / amb))
-        row = QCRow(
-            source=int(ids[src[i]]), target=int(ids[tgt[k]]),
-            ambient=float(amb[k]), chosen=float(dist[k]),
-            ratio=float(dist[k] / amb[k]),
-        )
-        return tgt.size, row
-
-    rng_child = rng.spawn(n_src)
-    for cnt, row in ordered_map(scan_sample, list(range(n_src))):
+    for cnt, row in ordered_map(scan, items):
         samples += cnt
         if row is not None:
             rows.append(row)
@@ -356,8 +331,8 @@ def quasiconvexity_constant(
                 best, worst = row.ratio, (row.source, row.target)
     return QuasiconvexityReport(
         C=best, R=float(R), worst_pair=worst, samples=samples,
-        exhaustive=False, metric_choice=metric_choice, seed=seed,
-        rows=tuple(rows),
+        exhaustive=exhaustive, metric_choice=metric_choice,
+        seed=None if exhaustive else seed, rows=tuple(rows),
     )
 
 
@@ -457,8 +432,14 @@ def poincare_constant(
                 )
                 continue
             uu = uvals[inside]
-            ub = float((G.mu[inside] * uu).sum() / m)
-            num = float((G.mu[inside] * np.abs(uu - ub)).sum() / m)
+            seen = uu[G.mu[inside] > 0]
+            if seen.min() == seen.max():
+                # u is constant where the ball has mass: the exact mean
+                # oscillation is 0, which the rounded mean may miss
+                num = 0.0
+            else:
+                ub = float((G.mu[inside] * uu).sum() / m)
+                num = float((G.mu[inside] * np.abs(uu - ub)).sum() / m)
             sup_rho = float(np.max(rvals[dist < lam * rad]))
             if num <= 0:
                 rows_local.append(

@@ -173,9 +173,12 @@ def mcshane_extend(
     vector analog, which is what the Whitney route is for.
     """
     om = _check_omega(G, omega, u)
+    # resolved once: lipschitz_constant would read an edge predicate as a distance
+    name, mask = G._metric(metric_choice)
+    metric = mask if name is None else name
     vals = np.asarray([float(u[v]) for v in om])
-    lip = lipschitz_constant(G, dict(zip(om, vals)), metric_choice)
-    csr = G._csr(metric_choice)
+    lip = lipschitz_constant(G, dict(zip(om, vals)), metric)
+    csr = G._csr(metric)
     n = G.n_vertices
     om_idx = np.asarray([G.index_of(v) for v in om], dtype=np.int64)
     # only Omega vertices in x's own component compete at x; offsetting by

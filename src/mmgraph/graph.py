@@ -12,6 +12,7 @@ Graphs are immutable after construction; every operation returns new data.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 import os
@@ -73,6 +74,16 @@ class Ball:
     closed: bool = False
 
 
+def _floats(values: list, what: str, rows: bool = False) -> np.ndarray:
+    """Float array of numbers (of rows of numbers with ``rows``).  Strings
+    and bools are rejected: numpy would read ``"2"`` as 2.0 and ``True``
+    as 1.0."""
+    items = itertools.chain.from_iterable(values) if rows else values
+    if not {str, bool}.isdisjoint(map(type, items)):
+        raise InputError(f"{what} must be numbers, not strings or booleans")
+    return np.asarray(values, dtype=np.float64)
+
+
 class MetricMeasureGraph:
     """Finite undirected graph with vertex measures and edge lengths.
 
@@ -90,19 +101,19 @@ class MetricMeasureGraph:
     def __init__(self, vertices: Sequence[Mapping], edges: Sequence[Mapping]):
         try:
             ids = np.asarray([v["id"] for v in vertices], dtype=np.int64)
-            mu = np.asarray([v["mu"] for v in vertices], dtype=np.float64)
+            mu = _floats([v["mu"] for v in vertices], "vertex mu")
             has_pos = [("pos" in v and v["pos"] is not None) for v in vertices]
             if any(has_pos) and not all(has_pos):
                 raise InputError("pos must be given for all vertices or none")
             pos = None
             if vertices and all(has_pos):
-                pos = np.asarray([v["pos"] for v in vertices], dtype=np.float64)
+                pos = _floats([v["pos"] for v in vertices], "vertex pos", rows=True)
                 if pos.ndim != 2:
                     raise InputError("vertex pos entries must share one dimension")
             ea = np.asarray([e["a"] for e in edges], dtype=np.int64)
             eb = np.asarray([e["b"] for e in edges], dtype=np.int64)
-            elen = np.asarray([e["len"] for e in edges], dtype=np.float64)
-            emu = np.asarray([e["mu_edge"] for e in edges], dtype=np.float64)
+            elen = _floats([e["len"] for e in edges], "edge len")
+            emu = _floats([e["mu_edge"] for e in edges], "edge mu_edge")
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed vertex or edge record: {exc}") from exc
         self._init_arrays(ids, mu, pos, ea, eb, elen, emu)
@@ -182,7 +193,6 @@ class MetricMeasureGraph:
         self._positive = emu > 0
         self._positive.flags.writeable = False
         self._id_to_idx = {int(v): i for i, v in enumerate(ids)}
-        self._adj = None
         self._csr_cache: dict[str, csr_matrix] = {}
 
     # -- basic accessors -------------------------------------------------
@@ -308,22 +318,7 @@ class MetricMeasureGraph:
             self._edge_mu[emask],
         )
 
-    # -- adjacency and sparse-matrix plumbing ----------------------------
-
-    def _adjacency(self):
-        """CSR-style adjacency (neighbor rows sorted by neighbor id)."""
-        if self._adj is None:
-            n, m = self.n_vertices, self.n_edges
-            heads = np.concatenate([self._edge_ib, self._edge_ia])
-            tails = np.concatenate([self._edge_ia, self._edge_ib])
-            eidx = np.concatenate([np.arange(m), np.arange(m)])
-            order = np.lexsort((heads, tails))
-            tails, heads, eidx = tails[order], heads[order], eidx[order]
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.add.at(indptr, tails + 1, 1)
-            np.cumsum(indptr, out=indptr)
-            self._adj = (indptr, heads, eidx)
-        return self._adj
+    # -- sparse-matrix plumbing -------------------------------------------
 
     def _csr(self, metric: Metric = None) -> csr_matrix:
         """Symmetric CSR of the metric's edges; the two named metrics are cached."""
@@ -467,8 +462,7 @@ def shortest_path(
     xi, yi = G.index_of(x), G.index_of(y)
     if xi == yi:
         return PathResult(0.0, (int(x),))
-    _, keep = G._metric(edge_filter)
-    return _heap_dijkstra_pair(G, xi, yi, keep)
+    return _heap_dijkstra_pair(G._csr(edge_filter), G.vertex_ids, xi, yi)
 
 
 # This search stays next to scipy on purpose: the tie-break above is defined
@@ -476,9 +470,8 @@ def shortest_path(
 # array along tight edges (smallest (dist, id) predecessor) reproduces it on
 # ordinary inputs, but finds no predecessor when an edge vanishes in
 # rounding, fl(d + len) == d (say a 1e-300 edge among length-1 edges).
-def _heap_dijkstra_pair(G, xi, yi, keep_mask) -> PathResult:
-    indptr, heads, eidx = G._adjacency()
-    ids = G.vertex_ids
+def _heap_dijkstra_pair(csr, ids, xi, yi) -> PathResult:
+    indptr, heads, lens = csr.indptr, csr.indices, csr.data
     dist = {xi: 0.0}
     pred: dict[int, int] = {}
     done: set[int] = set()
@@ -494,12 +487,10 @@ def _heap_dijkstra_pair(G, xi, yi, keep_mask) -> PathResult:
                 seq.append(pred[seq[-1]])
             return PathResult(d, tuple(int(ids[i]) for i in reversed(seq)))
         for p in range(indptr[vi], indptr[vi + 1]):
-            if keep_mask is not None and not keep_mask[eidx[p]]:
-                continue
             wi = int(heads[p])
             if wi in done:
                 continue
-            nd = d + float(G.edge_lengths[eidx[p]])
+            nd = d + float(lens[p])
             if nd < dist.get(wi, math.inf):
                 dist[wi] = nd
                 pred[wi] = vi

@@ -2,12 +2,14 @@
 Poincare constants, Hajlasz gradients."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mmgraph import (
     InputError,
+    ball,
     c0_constant,
     doubling_ratios,
     essential_distance,
@@ -137,6 +139,18 @@ class TestQuasiconvexity:
         with pytest.raises(InputError):
             quasiconvexity_constant(G, ambient="euclidean")
 
+    @pytest.mark.parametrize("exhaustive_limit", [2000, 1])
+    def test_coincident_positions_name_the_pair(self, exhaustive_limit):
+        G = make_graph(
+            [(0, 1.0, (0, 0)), (1, 1.0, (1, 0)), (2, 1.0, (0, 0))],
+            [(0, 1, 1.0), (1, 2, 1.0)],
+        )
+        with pytest.raises(InputError, match="vertices (0 and 2|2 and 0)$"):
+            quasiconvexity_constant(
+                G, ambient="euclidean", exhaustive_limit=exhaustive_limit,
+                max_pairs=40, seed=0,
+            )
+
     def test_missing_positions_rejected(self):
         G = make_graph([(0, 1.0), (1, 1.0)], [(0, 1, 1.0)])
         with pytest.raises(InputError):
@@ -199,7 +213,8 @@ class TestDoubling:
 
 class TestPoincare:
     def _oracle(self, G, u, rho, lam, radii):
-        """Independent scan over all centers and the given radii."""
+        """Independent scan over all centers and the given radii; the mean
+        oscillation is computed exactly in rationals and rounded once."""
         ids = [int(v) for v in G.vertex_ids]
         best = 0.0
         for c in ids:
@@ -209,9 +224,10 @@ class TestPoincare:
                 m = G.mu[inside].sum()
                 if m <= 0:
                     continue
-                uu = np.array([u[v] for v in ids])[inside]
-                mean = (G.mu[inside] * uu).sum() / m
-                num = (G.mu[inside] * np.abs(uu - mean)).sum() / m
+                w = [Fraction(float(x)) for x in G.mu[inside]]
+                uu = [Fraction(u[v]) for v, f in zip(ids, inside) if f]
+                mean = sum(a * b for a, b in zip(w, uu)) / sum(w)
+                num = float(sum(a * abs(b - mean) for a, b in zip(w, uu)) / sum(w))
                 if num <= 0:
                     continue
                 rr = np.array([rho[v] for v in ids])[dist < lam * rad]
@@ -241,6 +257,19 @@ class TestPoincare:
         rep = poincare_constant(G, u, rho, lam=2.0, r=0.7)
         want = self._oracle(G, u, rho, 2.0, [0.7, 0.35, 0.175, 0.0875])
         assert rep.best_C == pytest.approx(want, rel=1e-9)
+
+    def test_one_member_balls_have_zero_oscillation(self, rng):
+        G = random_geometric_graph(rng, 14)
+        ids = [int(v) for v in G.vertex_ids]
+        u = {v: float(rng.normal()) for v in ids}
+        rho = {v: float(rng.random()) for v in ids}
+        rep = poincare_constant(G, u, rho, lam=2.0, r=0.1)
+        single = [
+            row for row in rep.rows
+            if len(ball(G, row.center, row.radius).members) == 1
+        ]
+        assert single
+        assert all(row.oscillation == 0.0 and row.C == 0.0 for row in single)
 
     def test_constant_function_gives_zero(self):
         G = path_graph(5)

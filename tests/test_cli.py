@@ -361,13 +361,30 @@ class TestErrorPaths:
                     "edges": [{"a": 0, "b": True, "len": 1.0, "mu_edge": 1.0}],
                 },
             ),
+            ("audit", {"vertices": [{"id": 0, "mu": "2"}], "edges": []}),
+            ("audit", {"vertices": [{"id": 0, "mu": 1.0, "pos": [0.0, "1"]}], "edges": []}),
+            (
+                "audit",
+                {
+                    "vertices": [{"id": 0, "mu": 1.0}, {"id": 1, "mu": 1.0}],
+                    "edges": [{"a": 0, "b": 1, "len": "1e0", "mu_edge": 1.0}],
+                },
+            ),
+            (
+                "audit",
+                {
+                    "vertices": [{"id": 0, "mu": 1.0}, {"id": 1, "mu": 1.0}],
+                    "edges": [{"a": 0, "b": 1, "len": 1.0, "mu_edge": True}],
+                },
+            ),
         ],
         ids=[
             "collapsed-no-e", "collapsed-no-box", "collapsed-bad-e", "h-string",
             "h-bool", "rect-short", "disc-string", "carpet-no-level",
             "carpet-level-string", "carpet-level-float", "carpet-level-bool",
             "vertex-id-bool", "vertex-not-object", "vertices-not-list",
-            "edge-end-bool",
+            "edge-end-bool", "mu-string", "pos-string", "len-string",
+            "mu-edge-bool",
         ],
     )
     def test_malformed_input_exits_2_with_one_line(
