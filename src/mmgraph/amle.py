@@ -70,7 +70,10 @@ class AMLEProblem:
 
     def edge_mask(self) -> np.ndarray | None:
         """Edges of the problem's metric; ``None`` when all edges count."""
-        return self.graph._metric(self.metric_choice)[1]
+        metric = self.graph._metric(self.metric_choice)
+        if isinstance(metric, str) and metric == "graph":
+            return None
+        return self.graph.edge_mask(metric)
 
 
 @dataclass(frozen=True)
@@ -208,11 +211,10 @@ def solve_amle(
     G = problem.graph
     ids = G.vertex_ids
     bset = set(problem.boundary)
+    metric = G._metric(problem.metric_choice)
 
     reach = np.isfinite(
-        G.distances_from(
-            list(problem.boundary), mask=problem.metric_choice, min_only=True
-        )
+        G.distances_from(list(problem.boundary), mask=metric, min_only=True)
     )
     interior_idx = np.asarray(
         [i for i in range(G.n_vertices) if int(ids[i]) not in bset], dtype=np.int64
@@ -230,7 +232,7 @@ def solve_amle(
     gmax = max(problem.g.values())
     if isinstance(init, str):
         if init == "mcshane":
-            tu = mcshane_extend(G, problem.boundary, problem.g, problem.metric_choice)
+            tu = mcshane_extend(G, problem.boundary, problem.g, metric)
             for i in active_idx:
                 u[i] = min(gmax, max(gmin, tu[int(ids[i])]))
         elif init == "min":
@@ -260,7 +262,7 @@ def solve_amle(
             problem=problem,
         )
 
-    sweep = _Sweep(G._csr(problem.metric_choice), active_idx)
+    sweep = _Sweep(G._csr(metric), active_idx)
     iterations = 0
     while True:
         sup, sdn = sweep.slopes(u)

@@ -271,8 +271,7 @@ def quasiconvexity_constant(
     n = G.n_vertices
     if n == 0:
         raise InputError("quasiconvexity of an empty graph")
-    name, mask = G._metric(metric_choice)
-    metric = mask if name is None else name  # a predicate is evaluated once
+    metric = G._metric(metric_choice)  # a predicate is evaluated once
     if not (R > 0):
         raise InputError("R must be positive")
     ids = G.vertex_ids

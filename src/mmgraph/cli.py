@@ -199,11 +199,10 @@ def cmd_essdist(args) -> int:
 
 def cmd_qc(args) -> int:
     G = load_graph(args.graph)
-    R = float(args.R)
     report = analysis.quasiconvexity_constant(
         G,
         ambient="euclidean",
-        R=R,
+        R=args.R,
         metric_choice=args.metric,
         seed=args.seed,
         max_pairs=args.max_pairs,
@@ -466,7 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qc", help="quasiconvexity constant vs Euclidean ambient")
     _add_common(p)
-    p.add_argument("--R", default="inf", help="pair distance cutoff (default inf)")
+    p.add_argument(
+        "--R", type=float, default=np.inf, help="pair distance cutoff (default inf)"
+    )
     p.add_argument("--metric", default="graph", help="graph or essential")
     p.add_argument("--max-pairs", type=int, default=100_000)
     p.add_argument("--csv", default=None, help="per-source worst-pair CSV path")
@@ -554,7 +555,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CertifyError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

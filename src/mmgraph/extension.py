@@ -26,7 +26,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .graph import Metric, MetricMeasureGraph, _max_pair_ratio, lipschitz_constant
+from .graph import Metric, MetricMeasureGraph, _max_slope, lipschitz_constant
 from .util import CertifyError, InputError, LENGTH_TOL
 
 
@@ -116,11 +116,14 @@ class VectorField:
             return len(v)
         return 0
 
-    def norm_of(self, vec: Sequence[float]) -> float:
-        arr = np.asarray(vec, dtype=float)
+    def _norms(self, rows: np.ndarray) -> np.ndarray:
+        """The norm of each row of a 2-D array."""
         if self.norm == "max":
-            return float(np.max(np.abs(arr))) if arr.size else 0.0
-        return float(np.sqrt(np.sum(arr * arr)))
+            return np.max(np.abs(rows), axis=1, initial=0.0)
+        return np.sqrt(np.sum(rows * rows, axis=1))
+
+    def norm_of(self, vec: Sequence[float]) -> float:
+        return float(self._norms(np.asarray(vec, dtype=float).reshape(1, -1))[0])
 
     def sup_norm(self) -> float:
         return max((self.norm_of(v) for v in self.values.values()), default=0.0)
@@ -174,8 +177,7 @@ def mcshane_extend(
     """
     om = _check_omega(G, omega, u)
     # resolved once: lipschitz_constant would read an edge predicate as a distance
-    name, mask = G._metric(metric_choice)
-    metric = mask if name is None else name
+    metric = G._metric(metric_choice)
     vals = np.asarray([float(u[v]) for v in om])
     lip = lipschitz_constant(G, dict(zip(om, vals)), metric)
     csr = G._csr(metric)
@@ -486,12 +488,5 @@ def vector_lipschitz_constant(
     keys = sorted(vf.values)
     if not keys:
         raise InputError("empty vector field")
-    if len(keys) < 2:
-        return 0.0
     vals = np.asarray([vf.values[k] for k in keys], dtype=float)
-    diff = vals[:, None, :] - vals[None, :, :]
-    if vf.norm == "max":
-        dn = np.max(np.abs(diff), axis=2)
-    else:
-        dn = np.sqrt(np.sum(diff * diff, axis=2))
-    return _max_pair_ratio(G, keys, dn, metric)
+    return _max_slope(G, keys, vals, vf._norms, metric)

@@ -259,31 +259,34 @@ class MetricMeasureGraph:
 
     def edge_mask(self, edge_filter: Metric) -> np.ndarray:
         """Boolean edge mask of any metric spelling (see ``_metric``)."""
-        _, mask = self._metric(edge_filter)
-        return np.ones(self.n_edges, dtype=bool) if mask is None else np.array(mask)
+        metric = self._metric(edge_filter)
+        if isinstance(metric, str):
+            metric = self._positive if metric == "essential" else np.ones(self.n_edges, bool)
+        return np.array(metric)
 
-    def _metric(self, metric: Metric) -> tuple[str | None, np.ndarray | None]:
-        """Resolve a metric spelling to ``(cache name, edge mask)``.
+    def _metric(self, metric: Metric) -> str | np.ndarray:
+        """Resolve a metric spelling to ``"graph"``, ``"essential"`` or a mask.
 
-        ``None`` and ``"graph"`` select every edge (mask ``None``);
-        ``"essential"`` and ``"positive"`` the positive-measure edges.  A
-        bool mask with one entry per edge passes through and an
-        :class:`Edge` predicate is evaluated on every edge; neither gets a
-        cache name.  Anything else is an input error.
+        ``None`` and ``"graph"`` select every edge; ``"essential"`` and
+        ``"positive"`` the positive-measure edges.  A bool mask with one
+        entry per edge passes through and an :class:`Edge` predicate is
+        evaluated on every edge.  Every ``Metric`` parameter takes the
+        result as is, so a public call resolves its metric once and hands
+        the result down.  Anything else is an input error.
         """
         if metric is None or isinstance(metric, str):
             name = _METRIC_NAMES.get(metric)
             if name is None:
                 raise InputError(f"unknown metric {metric!r} (use graph or essential)")
-            return name, (None if name == "graph" else self._positive)
+            return name
         if callable(metric):
-            return None, np.fromiter(
+            return np.fromiter(
                 (bool(metric(e)) for e in self.edges()), dtype=bool, count=self.n_edges
             )
         mask = np.asarray(metric)
         if mask.dtype != bool or mask.shape != (self.n_edges,):
             raise InputError("edge mask must be a bool array with one entry per edge")
-        return None, mask
+        return mask
 
     def subgraph_edges(self, mask: np.ndarray) -> "MetricMeasureGraph":
         """New graph with the same vertices and only the masked edges."""
@@ -322,15 +325,14 @@ class MetricMeasureGraph:
 
     def _csr(self, metric: Metric = None) -> csr_matrix:
         """Symmetric CSR of the metric's edges; the two named metrics are cached."""
-        name, mask = self._metric(metric)
+        metric = self._metric(metric)
+        name = metric if isinstance(metric, str) else None
         cached = self._csr_cache.get(name)
         if cached is not None:
             return cached
         n = self.n_vertices
-        if mask is None:
-            ia, ib, w = self._edge_ia, self._edge_ib, self._edge_len
-        else:
-            ia, ib, w = self._edge_ia[mask], self._edge_ib[mask], self._edge_len[mask]
+        keep = self.edge_mask(metric)
+        ia, ib, w = self._edge_ia[keep], self._edge_ib[keep], self._edge_len[keep]
         rows = np.concatenate([ia, ib])
         cols = np.concatenate([ib, ia])
         data = np.concatenate([w, w])
@@ -544,7 +546,12 @@ def lipschitz_constant(
     ``u`` may cover only part of the vertex set; the supremum runs over
     pairs of its keys.  Pairs at infinite distance are skipped.  ``metric``
     is the graph metric by default, ``"essential"`` for the metric of the
-    positive-measure subgraph, or any callable on vertex-id pairs.
+    positive-measure subgraph, a bool edge mask for the metric of that
+    edge subset, or a callable distance on vertex-id pairs (an
+    :class:`Edge` predicate is not a distance and raises TypeError here).
+    When no edge of the metric leaves the keys, they are whole components
+    and the constant is the largest edge slope ``|u(a) - u(b)| / len``;
+    otherwise one search from the keys gives every pair distance.
     """
     if G.n_vertices == 0:
         raise InputError("lipschitz_constant of an empty graph")
@@ -553,43 +560,43 @@ def lipschitz_constant(
         G.index_of(k)
         if not np.isfinite(u[k]):
             raise InputError(f"non-finite value at vertex {k}")
-    if len(keys) < 2:
-        return 0.0
     vals = np.asarray([float(u[k]) for k in keys])
     if callable(metric):
-        best = 0.0
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                d = float(metric(keys[i], keys[j]))
-                du = abs(vals[i] - vals[j])
-                if not np.isfinite(d):
-                    continue
-                if d <= 0:
-                    if du > 0:
-                        return math.inf
-                    continue
-                best = max(best, du / d)
-        return best
-    return _max_pair_ratio(G, keys, np.abs(vals[:, None] - vals[None, :]), metric)
+        i, j = np.triu_indices(len(keys), k=1)
+        d = [float(metric(keys[a], keys[b])) for a, b in zip(i, j)]
+        return _max_ratio(np.abs(vals[i] - vals[j]), np.asarray(d))
+    return _max_slope(G, keys, vals, np.abs, metric)
 
 
-def _max_pair_ratio(
-    G: MetricMeasureGraph, keys: Sequence[int], diff: np.ndarray, metric: Metric
-) -> float:
-    """Largest ``diff[i, j] / d(keys[i], keys[j])`` over pairs ``i < j``.
+def _max_slope(G, keys, vals, size, metric) -> float:
+    """Largest ``size(vals[a] - vals[b]) / d(keys[a], keys[b])`` over pairs of
+    keys: ``vals`` holds one value (or row) per key, and ``size`` maps the
+    differences of many pairs to their sizes (``abs``, or a vector norm)."""
+    metric = G._metric(metric)
+    idx = np.asarray([G.index_of(k) for k in keys], dtype=np.int64)
+    pos = np.full(G.n_vertices, -1, dtype=np.int64)
+    pos[idx] = np.arange(idx.size)
+    keep = G.edge_mask(metric)
+    i, j, d = pos[G._edge_ia[keep]], pos[G._edge_ib[keep]], G._edge_len[keep]
+    if np.array_equal(i < 0, j < 0):
+        # whole components: a geodesic's difference is at most the sum of
+        # its edges' differences, so the largest ratio is an edge slope
+        inner = i >= 0
+        i, j, d = i[inner], j[inner], d[inner]
+    else:
+        rows = np.atleast_2d(G.distances_from(keys, mask=metric))
+        i, j = np.triu_indices(idx.size, k=1)
+        d = rows[i, idx[j]]
+    return _max_ratio(size(vals[i] - vals[j]), d)
 
-    Pairs at infinite distance are skipped; a positive ``diff`` at
-    distance zero gives ``inf``.
-    """
-    dmat = G.distance_matrix(keys, mask=metric)
-    cols = np.asarray([G.index_of(k) for k in keys], dtype=np.int64)
-    iu = np.triu_indices(len(keys), k=1)
-    d, du = dmat[:, cols][iu], diff[iu]
+
+def _max_ratio(du: np.ndarray, d: np.ndarray) -> float:
+    """Largest ``du / d`` over pairs: pairs at infinite distance are
+    skipped, a positive ``du`` at distance ``<= 0`` gives ``inf``, and no
+    pair at all gives 0."""
     finite = np.isfinite(d)
     d, du = d[finite], du[finite]
     if np.any((d <= 0) & (du > 0)):
         return math.inf
     ok = d > 0
-    if not np.any(ok):
-        return 0.0
-    return float(np.max(du[ok] / d[ok]))
+    return float(np.max(du[ok] / d[ok], initial=0.0))

@@ -71,11 +71,6 @@ def json_ready(value: object) -> object:
     return value
 
 
-def fmt_float(x: float) -> str:
-    """Shortest round-trip decimal form, used by the CSV writers."""
-    return repr(float(x))
-
-
 def parse_float_list(text: str) -> list[float]:
     items = [s for s in text.replace(";", ",").split(",") if s.strip()]
     if not items:

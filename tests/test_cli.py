@@ -403,6 +403,35 @@ class TestErrorPaths:
         assert err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("case", ["graph-not-utf8", "csv-not-utf8", "graph-is-dir"])
+    def test_unreadable_file_exits_2_with_one_line(
+        self, case, path11, tmp_path, capsys
+    ):
+        graph, csv = path11, tmp_path / "b.csv"
+        write_csv(csv, [(0, 0.0), (10, 1.0)])
+        if case == "graph-not-utf8":
+            graph = tmp_path / "bad.json"
+            graph.write_bytes(b'\xff\xfe{"vertices": [], "edges": []}')
+        elif case == "csv-not-utf8":
+            csv.write_bytes(b"vertex_id,value\n0,0.0\n\xff,1.0\n")
+        else:
+            graph = tmp_path / "dir.json"
+            graph.mkdir()
+        assert run("extend", "--graph", graph, "--boundary", csv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_non_numeric_R_is_a_usage_error(self, path11, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("qc", "--graph", path11, "--R", "abc")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "mmgraph qc: error: argument --R: invalid float value: 'abc'"
+        ]
+
+
 class TestCsvReaders:
     def test_header_optional(self, tmp_path):
         p = tmp_path / "x.csv"

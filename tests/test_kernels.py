@@ -7,6 +7,7 @@ essential metric differ and rounding meets both ends of the float range.
 
 import itertools
 import math
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -17,10 +18,14 @@ from hypothesis import strategies as st
 from conftest import make_graph, path_graph
 from mmgraph import (
     InputError,
+    MetricMeasureGraph,
+    VectorField,
     components,
+    gen_grid,
     lipschitz_constant,
     mcshane_extend,
     shortest_path,
+    vector_lipschitz_constant,
 )
 
 LENGTHS = st.one_of(
@@ -223,6 +228,124 @@ class TestMcShane:
         assert lip == pytest.approx(1e-10 / 2e300)
         assert got[4] == pytest.approx(5.0 + lip)
         assert got[1] == pytest.approx(lip * 1e300)
+
+
+def spelled_metric(G, spelling, data):
+    """A metric argument and, built from the edges on their own, the
+    networkx graph of the same metric."""
+    if spelling == "mask":
+        keep = data.draw(
+            st.lists(st.booleans(), min_size=G.n_edges, max_size=G.n_edges)
+        )
+        metric = np.asarray(keep, dtype=bool)
+    else:
+        keep = [spelling is None or e.mu_edge > 0 for e in G.edges()]
+        metric = spelling
+    H = nx.Graph()
+    H.add_nodes_from(int(v) for v in G.vertex_ids)
+    H.add_weighted_edges_from(
+        (e.a, e.b, e.length) for e in G.edges() if keep[e.index]
+    )
+    return metric, H
+
+
+def brute_slope(H, f, norm="max"):
+    """Largest norm(f(x) - f(y)) / d(x, y) over every reachable pair."""
+    dist = dict(nx.all_pairs_dijkstra_path_length(H))
+    best = 0.0
+    for x, y in itertools.combinations(sorted(f), 2):
+        if y in dist[x]:
+            diff = [a - b for a, b in zip(f[x], f[y])]
+            if norm == "max":
+                size = max(abs(t) for t in diff)
+            else:
+                size = math.sqrt(sum(t * t for t in diff))
+            best = max(best, size / dist[x][y])
+    return best
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("a whole-component audit ran a distance search")
+
+
+#: How the audits are called: scalar values, or vectors under a norm.
+FIELDS = ("scalar", "max", "euclidean")
+
+
+class TestLipschitzRoutes:
+    """Whole-component domains take the edge route, partial ones the
+    pairwise route; both must give the brute-force pairwise value."""
+
+    @staticmethod
+    def audit(G, f, kind, metric):
+        if kind == "scalar":
+            return lipschitz_constant(G, {k: v[0] for k, v in f.items()}, metric)
+        return vector_lipschitz_constant(G, VectorField(f, kind), metric)
+
+    @staticmethod
+    def draw_field(data, keys, kind):
+        dim = 1 if kind == "scalar" else data.draw(st.integers(1, 3))
+        vec = st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)
+        return {k: tuple(data.draw(vec)) for k in keys}
+
+    @FAST
+    @given(
+        graphs(),
+        st.sampled_from((None, "essential", "mask")),
+        st.sampled_from(FIELDS),
+        st.booleans(),
+        st.data(),
+    )
+    def test_both_routes_match_brute_force(self, G, spelling, kind, whole, data):
+        metric, H = spelled_metric(G, spelling, data)
+        if whole:
+            comps = sorted(sorted(c) for c in nx.connected_components(H))
+            picked = data.draw(st.lists(st.sampled_from(comps), min_size=1))
+            keys = sorted({v for c in picked for v in c})
+        else:
+            ids = [int(v) for v in G.vertex_ids]
+            keys = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+        f = self.draw_field(data, keys, kind)
+        with pytest.MonkeyPatch.context() as mp:
+            if whole:
+                mp.setattr(MetricMeasureGraph, "distances_from", _no_search)
+            got = self.audit(G, f, kind, metric)
+        # below the normal range a ratio keeps only an absolute precision
+        want = brute_slope(H, f, "max" if kind == "scalar" else kind)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-320)
+
+    @FAST
+    @given(graphs(), st.sampled_from(METRICS), st.data())
+    def test_callable_distance_matches_brute_force(self, G, metric, data):
+        H = nx_graph(G, metric)
+        dist = dict(nx.all_pairs_dijkstra_path_length(H))
+        ids = [int(v) for v in G.vertex_ids]
+        keys = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+        vals = data.draw(
+            st.lists(st.floats(-10.0, 10.0), min_size=len(keys), max_size=len(keys))
+        )
+        u = dict(zip(keys, vals))
+        got = lipschitz_constant(G, u, lambda x, y: dist[x].get(y, math.inf))
+        want = brute_slope(H, {k: (v,) for k, v in u.items()})
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-320)
+
+    def test_whole_grid_audit_stays_small(self):
+        """n = 4225: one dense distance row per vertex would take 143 MB."""
+        G = gen_grid(1 / 64, rect=[0, 0, 1, 1])
+        x, y = G.pos[:, 0], G.pos[:, 1]
+        u = dict(zip(G.vertex_ids.tolist(), (np.sin(4 * x) + y * y).tolist()))
+        vf = VectorField({k: (v, -v) for k, v in u.items()}, "euclidean")
+        for audit in (
+            lambda: lipschitz_constant(G, u),
+            lambda: vector_lipschitz_constant(G, vf),
+        ):
+            tracemalloc.start()
+            try:
+                assert audit() > 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
 
 
 def unit_grid(rows, cols, ids):

@@ -19,12 +19,14 @@ from conftest import make_graph
 from mmgraph import (
     AMLEProblem,
     InputError,
+    as_vector_field,
     check_amle_local,
     comparison_check,
     infinity_harmonic_extend,
     mcshane_extend,
     shortest_path,
     solve_amle,
+    vector_lipschitz_constant,
 )
 
 ROWS, COLS, WALL, GAP = 6, 7, 3, 2
@@ -156,3 +158,29 @@ def test_infinity_harmonic_boundary_matches_an_edge_scan(seed):
         assert sol.problem.boundary == tuple(sorted(want))
     else:
         assert sol.degenerate_vertices == tuple(omega)
+
+
+def test_a_predicate_is_evaluated_once_per_edge_per_call():
+    G, at = walled_grid(0)
+    calls = []
+
+    def predicate(e):
+        calls.append(e.index)
+        return e.mu_edge > 0
+
+    problem = side_problem(G, at, predicate)
+    sol = solve_amle(problem, tol=1e-6)
+    ids = [int(v) for v in G.vertex_ids]
+    audits = {
+        "solve_amle": lambda: solve_amle(problem, tol=1e-6),
+        "check_amle_local": lambda: check_amle_local(
+            {v: 0.0 if math.isnan(x) else x for v, x in sol.u.items()}, problem
+        ),
+        "vector_lipschitz_constant": lambda: vector_lipschitz_constant(
+            G, as_vector_field({v: (v, -v) for v in ids[::4]}), predicate
+        ),
+    }
+    for name, audit in audits.items():
+        calls.clear()
+        audit()
+        assert sorted(calls) == list(range(G.n_edges)), name
