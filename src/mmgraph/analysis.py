@@ -22,8 +22,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import Ball, Metric, MetricMeasureGraph
-from .util import InputError, LENGTH_TOL, ordered_map
+from .graph import Ball, Metric, MetricMeasureGraph, _distance_rows
+from .util import InputError, LENGTH_TOL
 
 #: Scalar and gradient fields are plain mappings vertex id -> value.
 ScalarField = Mapping[int, float]
@@ -276,8 +276,9 @@ def quasiconvexity_constant(
         raise InputError("R must be positive")
     ids = G.vertex_ids
 
-    def worst_from(i: int, cols: np.ndarray):
-        """Pairs scanned from vertex index ``i`` to ``cols`` and the worst row."""
+    def worst_from(i: int, cols: np.ndarray, dist: np.ndarray):
+        """Pairs scanned from vertex index ``i`` to ``cols`` and the worst row;
+        ``dist`` is the chosen metric's distance row of ``i``."""
         amb = _ambient_rows(G, ambient, np.asarray([i]))[0][cols]
         zero_amb = amb <= 0
         if np.any(zero_amb):
@@ -290,7 +291,7 @@ def quasiconvexity_constant(
         cols, amb = cols[within], amb[within]
         if cols.size == 0:
             return 0, None
-        dist = G.distances_from([int(ids[i])], mask=metric, min_only=True)[cols]
+        dist = dist[cols]
         k = int(np.argmax(dist / amb))
         row = QCRow(
             source=int(ids[i]), target=int(ids[cols[k]]),
@@ -301,28 +302,26 @@ def quasiconvexity_constant(
 
     exhaustive = n <= exhaustive_limit
     if exhaustive:
-        def scan(i: int):
-            return worst_from(i, np.arange(i + 1, n))
-
-        items = list(range(n - 1))
+        src = np.arange(n - 1)
+        targets = (np.arange(i + 1, n) for i in src)
     else:
         rng = np.random.default_rng(seed)
         n_src = min(n, max(1, int(math.isqrt(max_pairs) * 2)))
         per_src = max(1, max_pairs // n_src)
         src = np.sort(rng.choice(n, size=n_src, replace=False))
-        rng_child = rng.spawn(n_src)
 
-        def scan(k: int):
-            tgt = rng_child[k].integers(0, n, size=per_src)
-            return worst_from(int(src[k]), tgt[tgt != src[k]])
+        def sampled(i: int, child: np.random.Generator) -> np.ndarray:
+            tgt = child.integers(0, n, size=per_src)
+            return tgt[tgt != i]
 
-        items = list(range(n_src))
+        targets = map(sampled, src, rng.spawn(n_src))
 
     best = 1.0
     worst: tuple[int, int] | None = None
     samples = 0
     rows: list[QCRow] = []
-    for cnt, row in ordered_map(scan, items):
+    for i, cols, dist in zip(src, targets, _distance_rows(G, src, metric)):
+        cnt, row = worst_from(int(i), cols, dist)
         samples += cnt
         if row is not None:
             rows.append(row)
@@ -354,20 +353,14 @@ def doubling_ratios(
         if not (r > 0) or not np.isfinite(r):
             raise InputError(f"scales must be positive and finite, got {r}")
 
-    def rows_for(c: int) -> list[DoublingRow]:
-        rmax = 2.0 * max(scales)
-        dist = G.distances_from([c], limit=rmax, min_only=True)
-        out = []
+    idx = [G.index_of(c) for c in centers]
+    rows: list[DoublingRow] = []
+    for c, dist in zip(centers, _distance_rows(G, idx, limit=2.0 * max(scales))):
         for r in scales:
             inner = float(G.mu[dist < r].sum())
             outer = float(G.mu[dist < 2.0 * r].sum())
             ratio = outer / inner if inner > 0 else math.inf
-            out.append(DoublingRow(int(c), float(r), inner, outer, ratio))
-        return out
-
-    rows: list[DoublingRow] = []
-    for chunk in ordered_map(rows_for, list(centers)):
-        rows.extend(chunk)
+            rows.append(DoublingRow(int(c), float(r), inner, outer, ratio))
     return DoublingReport(tuple(rows))
 
 
@@ -407,71 +400,69 @@ def poincare_constant(
         if any(not (0 < x <= r * (1 + 1e-9)) for x in radii):
             raise InputError("explicit radii must lie in (0, r]")
     ids = G.vertex_ids
-
-    def scan_center(ci: int):
-        best_local = -math.inf
-        witness_local: Ball | None = None
-        rows_local: list[PoincareRow] = []
-        skipped = 0
-        cid = int(ids[ci])
-        dist = G.distances_from([cid], limit=lam * r, min_only=True)
-        if exhaustive_radii:
-            dvals = np.unique(dist[(dist > 0) & (dist <= r)])
-            local_radii = [float(d) * (1 + 1e-12) + 1e-300 for d in dvals]
-        else:
-            local_radii = radii
-        for rad in local_radii:
-            inside = dist < rad
-            m = float(G.mu[inside].sum())
-            if m <= 0:
-                skipped += 1
-                rows_local.append(
-                    PoincareRow(cid, float(rad), 0.0, math.nan, math.nan,
-                                math.nan, math.nan)
-                )
-                continue
-            uu = uvals[inside]
-            seen = uu[G.mu[inside] > 0]
-            if seen.min() == seen.max():
-                # u is constant where the ball has mass: the exact mean
-                # oscillation is 0, which the rounded mean may miss
-                num = 0.0
-            else:
-                ub = float((G.mu[inside] * uu).sum() / m)
-                num = float((G.mu[inside] * np.abs(uu - ub)).sum() / m)
-            sup_rho = float(np.max(rvals[dist < lam * rad]))
-            if num <= 0:
-                rows_local.append(
-                    PoincareRow(cid, float(rad), m, 0.0, sup_rho, math.nan, 0.0)
-                )
-                continue
-            members_idx = np.nonzero(inside)[0]
-            diam = _set_diameter(G, members_idx, 2.0 * rad)
-            den = diam * sup_rho
-            val = math.inf if den <= 0 else num / den
-            rows_local.append(
-                PoincareRow(cid, float(rad), m, num, sup_rho, diam, val)
-            )
-            if val > best_local:
-                best_local = val
-                witness_local = Ball(
-                    center=cid,
-                    radius=float(rad),
-                    members=tuple(int(ids[k]) for k in members_idx),
-                    measure=m,
-                    closed=False,
-                )
-        return best_local, witness_local, rows_local, skipped
+    # no radius exceeds rmax and a ball of radius rad has diameter below
+    # 2 * rad, so one table out to max(lam, 2) * rmax holds every ball,
+    # every lam-inflated ball and every distance between ball members
+    rmax = r * (1 + 1e-12) + 1e-300 if exhaustive_radii else max(radii)
+    table = _distance_table(G, max(lam, 2.0) * rmax)
+    indptr, cols, dists = table
 
     best = 0.0
     witness: Ball | None = None
     rows: list[PoincareRow] = []
     skipped = 0
-    for b, w, rl, s in ordered_map(scan_center, list(range(G.n_vertices))):
-        rows.extend(rl)
-        skipped += s
-        if w is not None and b > best:
-            best, witness = b, w
+    for ci in range(G.n_vertices):
+        cid = int(ids[ci])
+        near, dist = cols[indptr[ci]:indptr[ci + 1]], dists[indptr[ci]:indptr[ci + 1]]
+        mu, u_near, rho_near = G.mu[near], uvals[near], rvals[near]
+        if exhaustive_radii:
+            dvals = np.unique(dist[(dist > 0) & (dist <= r)])
+            local_radii = [float(d) * (1 + 1e-12) + 1e-300 for d in dvals]
+        else:
+            local_radii = radii
+        diams = None
+        for rad in local_radii:
+            inside = dist < rad
+            w = mu[inside]
+            m = float(w.sum())
+            if m <= 0:
+                skipped += 1
+                rows.append(
+                    PoincareRow(cid, float(rad), 0.0, math.nan, math.nan,
+                                math.nan, math.nan)
+                )
+                continue
+            uu = u_near[inside]
+            seen = uu[w > 0]
+            if seen.min() == seen.max():
+                # u is constant where the ball has mass: the exact mean
+                # oscillation is 0, which the rounded mean may miss
+                num = 0.0
+            else:
+                ub = float((w * uu).sum() / m)
+                num = float((w * np.abs(uu - ub)).sum() / m)
+            sup_rho = float(np.max(rho_near[dist < lam * rad]))
+            if num <= 0:
+                rows.append(PoincareRow(cid, float(rad), m, 0.0, sup_rho, math.nan, 0.0))
+                continue
+            if diams is None:
+                # every ball around ci is a prefix of its nearest-first order
+                nearest = near[np.argsort(dist, kind="stable")]
+                reach = np.count_nonzero(dist < max(local_radii))
+                diams = _prefix_diameters(table, nearest[:reach])
+            diam = float(diams[np.count_nonzero(inside) - 1])
+            den = diam * sup_rho
+            val = math.inf if den <= 0 else num / den
+            rows.append(PoincareRow(cid, float(rad), m, num, sup_rho, diam, val))
+            if val > best:
+                best = val
+                witness = Ball(
+                    center=cid,
+                    radius=float(rad),
+                    members=tuple(int(ids[k]) for k in near[inside]),
+                    measure=m,
+                    closed=False,
+                )
     return PoincareReport(
         lam=float(lam),
         r=float(r),
@@ -485,14 +476,39 @@ def poincare_constant(
     )
 
 
-def _set_diameter(G: MetricMeasureGraph, members_idx: np.ndarray, limit: float) -> float:
-    """Exact diameter of a vertex set in the graph metric of all of G."""
-    if members_idx.size <= 1:
-        return 0.0
-    srcs = [int(G.vertex_ids[i]) for i in members_idx]
-    rows = np.atleast_2d(G.distances_from(srcs, limit=limit))
-    sub = rows[:, members_idx]
-    return float(np.max(sub))
+def _distance_table(G: MetricMeasureGraph, limit: float):
+    """Sparse rows of the distances within ``limit`` from every vertex:
+    ``(indptr, cols, dists)`` in CSR form, int32 columns in increasing
+    order, each vertex's own 0 included."""
+    n = G.n_vertices
+    sizes = np.zeros(n + 1, dtype=np.int64)
+    cols, dists = [np.empty(0, np.int32)], [np.empty(0)]
+    for i, row in enumerate(_distance_rows(G, np.arange(n), limit=limit)):
+        near = np.flatnonzero(np.isfinite(row))
+        sizes[i + 1] = near.size
+        cols.append(near.astype(np.int32))
+        dists.append(row[near])
+    return np.cumsum(sizes), np.concatenate(cols), np.concatenate(dists)
+
+
+def _prefix_diameters(table, members: np.ndarray) -> np.ndarray:
+    """``out[k]`` is the diameter of ``members[:k + 1]``, the largest
+    distance the members' table rows give among them (``inf`` for a pair
+    the table misses)."""
+    indptr, cols, dists = table
+    k = members.size
+    starts = indptr[members]
+    lens = indptr[members + 1] - starts
+    # positions in ``cols`` of every entry of the members' rows
+    at = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    pos = np.full(indptr.size - 1, -1, dtype=np.int64)
+    pos[members] = np.arange(k)
+    j = pos[cols[at]]
+    among = j >= 0
+    D = np.full((k, k), math.inf)
+    D[np.repeat(np.arange(k), lens)[among], j[among]] = dists[at[among]]
+    D = np.maximum(D, D.T)
+    return np.maximum.accumulate(np.tril(D).max(axis=1))
 
 
 def _total_field(G, f: Mapping[int, float], name: str, allow_inf=False) -> np.ndarray:
@@ -529,15 +545,12 @@ def hajlasz_gradient_from_upper(
     if not (R > 0):
         raise InputError("scale R must be positive")
     rvals = _total_field(G, rho, "rho", allow_inf=True)
-    ids = G.vertex_ids
     reach = C * R
-
-    def one(ci: int) -> float:
-        dist = G.distances_from([int(ids[ci])], limit=reach, min_only=True)
-        return float(C * np.max(rvals[dist <= reach]))
-
-    vals = ordered_map(one, list(range(G.n_vertices)))
-    return {int(ids[i]): vals[i] for i in range(G.n_vertices)}
+    rows = _distance_rows(G, np.arange(G.n_vertices), limit=reach)
+    return {
+        int(vid): float(C * np.max(rvals[dist <= reach]))
+        for vid, dist in zip(G.vertex_ids, rows)
+    }
 
 
 def verify_hajlasz(
@@ -559,8 +572,7 @@ def verify_hajlasz(
     ids = G.vertex_ids
     n = G.n_vertices
     out: list[dict] = []
-    for i in range(n - 1):
-        dist = G.distances_from([int(ids[i])], limit=R, min_only=True)
+    for i, dist in enumerate(_distance_rows(G, np.arange(n - 1), limit=R)):
         cols = np.arange(i + 1, n)
         d = dist[cols]
         sel = d < R

@@ -261,7 +261,9 @@ def cmd_extend(args) -> int:
         out = extension.mcshane_extend(G, omega, data, metric_choice=args.metric)
     _write_text(args.out, _scalar_csv(out))
     finite_part = {v: x for v, x in out.items() if np.isfinite(x)}
-    unreachable = sorted(v for v, x in out.items() if not np.isfinite(x))
+    # from reachability: an overflowed value is +inf too, but reachable
+    reach = G.distances_from(omega, mask=args.metric, min_only=True)
+    unreachable = [int(v) for v in G.vertex_ids[np.isinf(reach)]]
     payload = {
         "command": "extend",
         "seed": args.seed,

@@ -172,8 +172,9 @@ def mcshane_extend(
     Computes L = Lipschitz constant of u on Omega in the chosen metric,
     then Tu(x) = min over Omega of u(y) + L d(x, y).  The restriction to
     Omega equals u exactly; vertices at infinite distance from all of
-    Omega receive +inf.  Scalar targets only: the inf-convolution has no
-    vector analog, which is what the Whitney route is for.
+    Omega receive +inf, and so does a reachable vertex where L d(x, y)
+    overflows the float range.  Scalar targets only: the inf-convolution
+    has no vector analog, which is what the Whitney route is for.
     """
     om = _check_omega(G, omega, u)
     # resolved once: lipschitz_constant would read an edge predicate as a distance
@@ -202,7 +203,8 @@ def mcshane_extend(
             shape=(n + 1, n + 1),
         )
         d = dijkstra(aug, directed=True, indices=n)[:n]
-        with np.errstate(invalid="ignore"):  # inf * 0 on Omega if L overflowed
+        # inf * 0 on Omega if L overflowed; L * d past the float range is inf
+        with np.errstate(invalid="ignore", over="ignore"):
             tu = floor + lip * d
     else:
         tu = floor
@@ -467,6 +469,8 @@ def whitney_extend(
         vec = vf.values[v]
         if len(vec) != dim:
             raise InputError("boundary data dimensions disagree")
+        if not np.all(np.isfinite(vec)):
+            raise InputError(f"boundary data not finite at vertex {v}")
         out[v] = tuple(float(x) for x in vec)
     for vid, entries in cover.sigma.items():
         total = sum(w for _, w in entries)

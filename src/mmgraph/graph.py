@@ -114,7 +114,7 @@ class MetricMeasureGraph:
             eb = np.asarray([e["b"] for e in edges], dtype=np.int64)
             elen = _floats([e["len"] for e in edges], "edge len")
             emu = _floats([e["mu_edge"] for e in edges], "edge mu_edge")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed vertex or edge record: {exc}") from exc
         self._init_arrays(ids, mu, pos, ea, eb, elen, emu)
 
@@ -412,6 +412,38 @@ class MetricMeasureGraph:
         return {"vertices": verts, "edges": edges}
 
 
+#: Distance entries per kernel call of ``_distance_rows``: 2**17 float64
+#: entries, 1 MB of output per call whatever the graph's size.
+_CHUNK_ENTRIES = 1 << 17
+
+
+def _chunk_sources(n: int) -> int:
+    """Sources per kernel call of ``_distance_rows`` on an n-vertex graph."""
+    return max(1, _CHUNK_ENTRIES // max(n, 1))
+
+
+def _distance_rows(
+    G: MetricMeasureGraph,
+    source_idx: Sequence[int],
+    metric: Metric = None,
+    limit: float = np.inf,
+) -> Iterator[np.ndarray]:
+    """The distance row (by vertex index) of each source index, in order.
+
+    Sources go to ``distances_from`` in chunks of ``_chunk_sources(n)``,
+    so a scan over all n vertices makes ceil(n / _chunk_sources(n))
+    kernel calls instead of n.  A truncated search gives every vertex
+    within ``limit`` the float a single-source search gives it: the
+    prefix sums of a shortest path never exceed its length.
+    """
+    step = _chunk_sources(G.n_vertices)
+    ids = G.vertex_ids
+    source_idx = np.asarray(source_idx, dtype=np.int64)
+    for start in range(0, source_idx.size, step):
+        chunk = ids[source_idx[start:start + step]].tolist()
+        yield from np.atleast_2d(G.distances_from(chunk, mask=metric, limit=limit))
+
+
 def graph_from_dict(data: Mapping) -> MetricMeasureGraph:
     if not isinstance(data, Mapping) or "vertices" not in data or "edges" not in data:
         raise InputError("graph JSON must have 'vertices' and 'edges'")
@@ -473,11 +505,13 @@ def shortest_path(
 # ordinary inputs, but finds no predecessor when an edge vanishes in
 # rounding, fl(d + len) == d (say a 1e-300 edge among length-1 edges).
 def _heap_dijkstra_pair(csr, ids, xi, yi) -> PathResult:
-    indptr, heads, lens = csr.indptr, csr.indices, csr.data
+    # plain lists: indexing a numpy array yields a boxed scalar per edge
+    indptr, heads, lens = csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist()
+    ids = ids.tolist()
     dist = {xi: 0.0}
     pred: dict[int, int] = {}
     done: set[int] = set()
-    heap: list[tuple[float, int, int]] = [(0.0, int(ids[xi]), xi)]
+    heap: list[tuple[float, int, int]] = [(0.0, ids[xi], xi)]
     while heap:
         d, _, vi = heapq.heappop(heap)
         if vi in done:
@@ -487,16 +521,16 @@ def _heap_dijkstra_pair(csr, ids, xi, yi) -> PathResult:
             seq = [yi]
             while seq[-1] != xi:
                 seq.append(pred[seq[-1]])
-            return PathResult(d, tuple(int(ids[i]) for i in reversed(seq)))
+            return PathResult(d, tuple(ids[i] for i in reversed(seq)))
         for p in range(indptr[vi], indptr[vi + 1]):
-            wi = int(heads[p])
+            wi = heads[p]
             if wi in done:
                 continue
-            nd = d + float(lens[p])
+            nd = d + lens[p]
             if nd < dist.get(wi, math.inf):
                 dist[wi] = nd
                 pred[wi] = vi
-                heapq.heappush(heap, (nd, int(ids[wi]), wi))
+                heapq.heappush(heap, (nd, ids[wi], wi))
     return PathResult(math.inf, ())
 
 

@@ -34,9 +34,12 @@ U = TypeVar("U")
 def ordered_map(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
     """Map ``fn`` over ``items`` in order, sequentially.
 
-    The per-source and per-ball loop shared by the report scans.
-    ``MMGRAPH_THREADS`` is accepted for compatibility and ignored: a
-    thread pool here measured slower than one thread.
+    The report scans no longer call it: they iterate over the rows of
+    batched distance searches (``graph._distance_rows``).  It is kept as
+    a named entry point, which the benchmark's tracer in
+    ``perfbench/spans.py`` looks up by name.  ``MMGRAPH_THREADS`` is
+    accepted for compatibility and ignored: a thread pool here measured
+    slower than one thread.
     """
     return [fn(x) for x in items]
 

@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_graph, path_graph
 from mmgraph import save_graph
@@ -208,6 +213,28 @@ class TestExtendCommand:
         assert max(abs(v) for v in ext.values()) == pytest.approx(0.1)
         assert json.loads(rep.read_text())["sup_norm"] == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_unreachable_means_infinite_distance(self, truncate, tmp_path, capsys):
+        """L * d overflows at vertex 2, which is reachable; vertex 3 is not."""
+        graph = tmp_path / "g.json"
+        save_graph(
+            make_graph(
+                [(v, 1.0) for v in range(4)], [(0, 1, 1e-300), (1, 2, 1e300)]
+            ),
+            graph,
+        )
+        b_csv = tmp_path / "b.csv"
+        write_csv(b_csv, [(0, 0.0), (1, 1.0)])
+        argv = ["extend", "--graph", graph, "--boundary", b_csv,
+                "--out", tmp_path / "e.csv", "--report", tmp_path / "e.json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv, *(["--truncate"] if truncate else [])) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "e.json").read_text())["unreachable"] == [3]
+        ext = read_scalar_csv(tmp_path / "e.csv")
+        assert ext[2] == (1.0 if truncate else math.inf)
+
     def test_certify_failure_exits_3(self, path11, tmp_path, monkeypatch):
         import mmgraph.extension as ext_mod
 
@@ -252,6 +279,12 @@ class TestWhitneyCommand:
         assert F[5] == (-1.0, 0.0)
         payload = json.loads(rep.read_text())
         assert payload["sup_norm_extension"] <= payload["sup_norm_data"] + 1e-12
+
+    def test_non_finite_vector_data_exits_2(self, grid_path, tmp_path, capsys):
+        b_csv = tmp_path / "v.csv"
+        write_csv(b_csv, [(0, 0.0, 1.0), (4, "inf", 0.0)], header=None)
+        assert run("whitney", "--graph", grid_path, "--boundary", b_csv) == 2
+        assert capsys.readouterr().err == "error: boundary data not finite at vertex 4\n"
 
 
 class TestAmleCommand:
@@ -403,6 +436,14 @@ class TestErrorPaths:
         assert err.count("\n") == 1
 
 
+    def test_id_beyond_int64_exits_2_with_one_line(self, tmp_path, capsys):
+        graph = tmp_path / "big.json"
+        graph.write_text(json.dumps({"vertices": [{"id": 10**30, "mu": 1.0}], "edges": []}))
+        assert run("audit", "--graph", graph) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed vertex or edge record")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("case", ["graph-not-utf8", "csv-not-utf8", "graph-is-dir"])
     def test_unreadable_file_exits_2_with_one_line(
         self, case, path11, tmp_path, capsys
@@ -490,3 +531,104 @@ class TestDeterminism:
             ) == 0
             reps.append(rep.read_bytes())
         assert reps[0] == reps[1]
+
+
+def _junk():
+    """JSON values that are wrong almost anywhere in a graph file."""
+    return st.sampled_from(
+        [None, "x", "1", True, [], {}, -1, 0, 1.5, 1e308, -1e-300, 10**30,
+         math.nan, math.inf, [0.0], [0.0, "y"], {"id": 0}]
+    )
+
+
+@st.composite
+def mutated_graphs(draw):
+    """JSON text of a small valid graph after a few random mutations."""
+    data = {
+        "vertices": [{"id": i, "mu": 1.0, "pos": [float(i), 0.0]} for i in range(5)],
+        "edges": [
+            {"a": i, "b": i + 1, "len": 1.0, "mu_edge": float(i != 2)}
+            for i in range(4)
+        ],
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        part = draw(st.sampled_from(["vertices", "edges", "top"]))
+        if part == "top":
+            data[draw(st.sampled_from(["vertices", "edges"]))] = draw(_junk())
+            continue
+        items = data[part]
+        if not isinstance(items, list) or not items:
+            continue
+        k = draw(st.integers(0, len(items) - 1))
+        action = draw(st.sampled_from(["set", "drop", "copy", "replace"]))
+        if action == "copy":
+            items.append(items[k])
+        elif action == "replace":
+            items[k] = draw(_junk())
+        elif isinstance(items[k], dict):
+            key = draw(st.sampled_from(["id", "mu", "pos", "a", "b", "len", "mu_edge"]))
+            if action == "set":
+                items[k] = dict(items[k], **{key: draw(_junk())})
+            else:
+                items[k] = {a: b for a, b in items[k].items() if a != key}
+    text = json.dumps(data)
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    if draw(st.integers(0, 4)) == 0:
+        text = repr(draw(_junk()))
+    return text
+
+
+CSV_CELLS = st.sampled_from(
+    ["0", "4", "2", "-1", "99", "1.5", "0.25", "nan", "inf", "-inf", "1e308",
+     "x", "", "vertex_id", "value", "1e999", "99999999999999999999"]
+)
+CSV_TEXT = st.lists(
+    st.lists(CSV_CELLS, min_size=0, max_size=3).map(",".join), max_size=5
+).map(lambda rows: "\n".join(rows) + "\n")
+
+FUZZ_COMMANDS = {
+    "audit": [],
+    "dist": ["--source", "0"],
+    "essdist": ["--source", "0,4", "--target", "4"],
+    "qc": [],
+    "doubling": ["--centers", "0,2", "--scales", "0.5,2"],
+    "pi-check": ["--u", "{csv}", "--rho", "{csv}", "--lam", "2", "--r", "2"],
+    "extend": ["--boundary", "{csv}", "--truncate"],
+    "whitney": ["--boundary", "{csv}"],
+    "amle": ["--boundary", "{csv}", "--whole-boundary", "--max-iter", "50"],
+}
+
+
+class TestFuzz:
+    @settings(
+        max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(
+        command=st.sampled_from(sorted(FUZZ_COMMANDS)),
+        graph=st.one_of(st.none(), mutated_graphs()),
+        table=st.one_of(st.none(), CSV_TEXT),
+    )
+    def test_mutated_inputs_end_in_a_documented_exit_code(
+        self, command, graph, table, tmp_path
+    ):
+        """Malformed graph JSON and CSV end in 0, 2, 3 or 4, never a traceback."""
+        gpath, cpath = tmp_path / "g.json", tmp_path / "t.csv"
+        save_graph(path_graph(5), gpath)
+        write_csv(cpath, [(0, 0.0), (4, 1.0)])
+        if graph is not None:
+            gpath.write_text(graph)
+        if table is not None:
+            cpath.write_text(table)
+        argv = [command, "--graph", gpath, "--report", tmp_path / "r.json"]
+        argv += [str(cpath) if a == "{csv}" else a for a in FUZZ_COMMANDS[command]]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(*argv)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
