@@ -22,6 +22,12 @@ monotone in the neighbor values, so iterates started from the constant
 min and max fills bracket every other start and converge monotonically
 to the unique solution.
 
+Each color class is split by degree into buckets of k vertices of
+degree d, solved at once by min and max over one broadcast (d, d, k)
+table of pair values; padding a shorter row by a repeated neighbor
+repeats a row and a column of its table, so every t* stays bit-identical
+to solving that vertex alone (see ``_Sweep``).
+
 Under ``metric_choice = "essential"`` only
 positive-measure edges participate; interior vertices with no
 positive-measure route to the boundary are degenerate: the solver never
@@ -94,17 +100,9 @@ class AMLESolution:
     problem: AMLEProblem = field(repr=False)
 
 
-@dataclass(frozen=True)
-class _ColorClass:
-    """One independent set of interior vertices with its pair tables."""
-
-    verts: np.ndarray
-    pair_i: np.ndarray
-    pair_j: np.ndarray
-    coef_i: np.ndarray
-    coef_j: np.ndarray
-    inner: np.ndarray
-    outer: np.ndarray
+#: A degree joins the wider bucket above it when padding adds at most this
+#: many pair-table entries, about the cost of one more bucket's numpy calls.
+_PAD_ENTRIES = 2048
 
 
 class _Sweep:
@@ -112,81 +110,76 @@ class _Sweep:
 
     Its rows are the active vertices' rows of the metric's CSR (see
     ``MetricMeasureGraph._csr``), so only the metric's edges take part.
-    Holds flat neighbor arrays for residual evaluation, plus a greedy
-    coloring of the active vertices into independent classes with
-    precomputed neighbor-pair coefficients for the exact local solve
-    t* = max_i min_j (l_j u_i + l_i u_j) / (l_i + l_j).
+    Flat neighbor arrays serve the residual.  For the local solves the
+    active vertices are greedily colored in index order, and each color
+    class is split by degree into buckets ``(verts, nb, ci, cj)``: ``nb``
+    has shape (d, k) and holds the neighbors of the bucket's k vertices
+    with lengths ``l``; ``ci`` and ``cj`` have shape (d, d, k) and hold
+    l_i / (l_i + l_j) and l_j / (l_i + l_j) at [j, i].  Rows shorter than
+    d are padded by repeating their last neighbor and its length.
+
+    ``relax`` is bit-identical to solving every vertex on its own: each
+    pair value is the same ``cj * u_i + ci * u_j`` in floating point, min
+    and max are exact, padding copies an existing row and column of the
+    max-min table, and the vertices of one class share no edge, so their
+    buckets can be written in any order.
     """
 
     def __init__(self, csr, active_idx: np.ndarray):
         sub = csr[active_idx]
         # scipy's int32 indices would be cast to intp on every sweep
         indptr, nbr = sub.indptr.astype(np.intp), sub.indices.astype(np.intp)
-        self.active = active_idx
+        deg = np.diff(indptr)
         self.starts = indptr[:-1]
         self.nbr = nbr
+        self.owner = np.repeat(active_idx, deg)
         self.lens = sub.data
-        self.expand = np.repeat(np.arange(active_idx.size), np.diff(indptr))
-        cuts = indptr[1:-1]
-        self.classes = self._color_classes(
-            active_idx.tolist(), np.split(nbr, cuts), np.split(sub.data, cuts)
-        )
-
-    @staticmethod
-    def _color_classes(rows, nbrs_of, lens_of) -> list[_ColorClass]:
-        color_of: dict[int, int] = {}
-        for k, vi in enumerate(rows):
-            used = {color_of[int(w)] for w in nbrs_of[k] if int(w) in color_of}
+        # greedy coloring in row order; a neighbor's rank is its row, or n
+        # when it is not active, so ``j < k`` picks the rows colored so far
+        n, ptr = active_idx.size, indptr.tolist()
+        rank = np.full(csr.shape[0], n)
+        rank[active_idx] = np.arange(n)
+        ranks = rank[nbr].tolist()
+        color: list[int] = []
+        for k in range(n):
+            used = {color[j] for j in ranks[ptr[k]:ptr[k + 1]] if j < k}
             c = 0
             while c in used:
                 c += 1
-            color_of[vi] = c
-        classes = []
-        for c in range(max(color_of.values()) + 1):
-            members = [k for k, vi in enumerate(rows) if color_of[vi] == c]
-            pair_i, pair_j, coef_i, coef_j = [], [], [], []
-            inner: list[int] = []
-            outer: list[int] = []
-            pos_pairs = 0
-            pos_blocks = 0
-            for k in members:
-                vn, vl = nbrs_of[k], lens_of[k]
-                d = len(vn)
-                pair_i.append(np.repeat(vn, d))
-                pair_j.append(np.tile(vn, d))
-                li = np.repeat(vl, d)
-                lj = np.tile(vl, d)
-                den = li + lj
-                coef_i.append(li / den)
-                coef_j.append(lj / den)
-                inner.extend(range(pos_pairs, pos_pairs + d * d, d))
-                outer.append(pos_blocks)
-                pos_pairs += d * d
-                pos_blocks += d
-            classes.append(
-                _ColorClass(
-                    verts=np.asarray([rows[k] for k in members], dtype=np.int64),
-                    pair_i=np.concatenate(pair_i),
-                    pair_j=np.concatenate(pair_j),
-                    coef_i=np.concatenate(coef_i),
-                    coef_j=np.concatenate(coef_j),
-                    inner=np.asarray(inner, dtype=np.int64),
-                    outer=np.asarray(outer, dtype=np.int64),
+            color.append(c)
+        color_arr = np.asarray(color)
+        self.buckets = []
+        for c in range(max(color) + 1):
+            rows = np.flatnonzero(color_arr == c)
+            ds, ks = np.unique(deg[rows], return_counts=True)
+            width, top = np.empty_like(ds), ds[-1]
+            for q in range(ds.size - 1, -1, -1):
+                if ks[q] * (top * top - ds[q] * ds[q]) > _PAD_ENTRIES:
+                    top = ds[q]
+                width[q] = top
+            width = width[np.searchsorted(ds, deg[rows])]
+            for d in np.unique(width):
+                part = rows[width == d]
+                at = indptr[part] + np.minimum(np.arange(d)[:, None], deg[part] - 1)
+                L = sub.data[at]
+                den = L[None] + L[:, None]
+                self.buckets.append(
+                    (active_idx[part], nbr[at], L[None] / den, L[:, None] / den)
                 )
-            )
-        return classes
 
-    def slopes(self, u: np.ndarray):
-        s = (u[self.nbr] - u[self.active[self.expand]]) / self.lens
-        sup = np.maximum.reduceat(s, self.starts)
-        sdn = np.maximum.reduceat(-s, self.starts)
-        return sup, sdn
+    def residual(self, u: np.ndarray) -> float:
+        """Largest |max up-slope - max down-slope| over the active rows."""
+        s = (u[self.nbr] - u[self.owner]) / self.lens
+        # the max down-slope is -min(s), so the imbalance is max(s) + min(s)
+        imbalance = np.maximum.reduceat(s, self.starts) + np.minimum.reduceat(s, self.starts)
+        return float(np.max(np.abs(imbalance)))
 
     def relax(self, u: np.ndarray) -> None:
-        for cls in self.classes:
-            t = cls.coef_j * u[cls.pair_i] + cls.coef_i * u[cls.pair_j]
-            mins = np.minimum.reduceat(t, cls.inner)
-            u[cls.verts] = np.maximum.reduceat(mins, cls.outer)
+        for verts, nb, ci, cj in self.buckets:
+            U = u[nb]
+            t = cj * U
+            t += ci * U[:, None]
+            u[verts] = t.min(axis=0).max(axis=0)
 
 
 def solve_amle(
@@ -265,8 +258,7 @@ def solve_amle(
     sweep = _Sweep(G._csr(metric), active_idx)
     iterations = 0
     while True:
-        sup, sdn = sweep.slopes(u)
-        residual = float(np.max(np.abs(sup - sdn)))
+        residual = sweep.residual(u)
         if residual <= tol:
             converged = True
             break
@@ -302,26 +294,30 @@ def check_amle_local(u: Mapping[int, float], problem: AMLEProblem) -> dict[int, 
         if float(u[v]) != problem.g[v]:
             raise InputError(f"u differs from boundary data at vertex {v}")
     bset = set(problem.boundary)
-    csr = G._csr(problem.metric_choice)
-    indptr, heads, lens = csr.indptr, csr.indices, csr.data
-    out: dict[int, float] = {}
-    for vi in range(G.n_vertices):
-        vid = int(ids[vi])
-        if vid in bset:
-            continue
-        sup, sdn = -math.inf, -math.inf
-        for p in range(indptr[vi], indptr[vi + 1]):
-            wid = int(ids[heads[p]])
-            if vid not in u or wid not in u:
-                raise InputError(f"u missing a value near vertex {vid}")
-            ux, uw = float(u[vid]), float(u[wid])
-            if not (np.isfinite(ux) and np.isfinite(uw)):
-                raise InputError(f"u not finite near vertex {vid}")
-            slope = (uw - ux) / float(lens[p])
-            sup = max(sup, slope)
-            sdn = max(sdn, -slope)
-        out[vid] = abs(sup - sdn) if np.isfinite(sup) else 0.0
-    return out
+    rows = np.asarray([i for i, v in enumerate(ids.tolist()) if v not in bset], dtype=np.intp)
+    sub = G._csr(problem.metric_choice)[rows]
+    owner, heads = np.repeat(rows, np.diff(sub.indptr)), sub.indices
+    have = np.zeros(G.n_vertices, dtype=bool)
+    val = np.full(G.n_vertices, math.nan)
+    for i in np.unique(np.concatenate([owner, heads])).tolist():
+        if int(ids[i]) in u:
+            have[i], val[i] = True, float(u[int(ids[i])])
+    fin = np.isfinite(val)  # False where missing too
+    bad = np.flatnonzero(~(fin[owner] & fin[heads]))
+    if bad.size:  # the first such edge in row order names the vertex
+        a, b = owner[bad[0]], heads[bad[0]]
+        what = "not finite" if have[a] and have[b] else "missing a value"
+        raise InputError(f"u {what} near vertex {int(ids[a])}")
+    res = np.zeros(rows.size)
+    edged = np.diff(sub.indptr) > 0
+    if edged.any():
+        starts = sub.indptr[:-1][edged]
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = (val[heads] - val[owner]) / sub.data
+            sup, low = np.maximum.reduceat(s, starts), np.minimum.reduceat(s, starts)
+            # the max down-slope is -low; an infinite max up-slope reads 0
+            res[edged] = np.where(np.isfinite(sup), np.abs(sup + low), 0.0)
+    return dict(zip(ids[rows].tolist(), res.tolist()))
 
 
 def comparison_check(

@@ -493,4 +493,7 @@ def vector_lipschitz_constant(
     if not keys:
         raise InputError("empty vector field")
     vals = np.asarray([vf.values[k] for k in keys], dtype=float)
+    bad = ~np.isfinite(vals).all(axis=1)
+    if bad.any():
+        raise InputError(f"non-finite value at vertex {keys[int(np.argmax(bad))]}")
     return _max_slope(G, keys, vals, vf._norms, metric)

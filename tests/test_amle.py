@@ -1,17 +1,26 @@
 """Discrete infinity-harmonic (AMLE) solver and its audits."""
 
+import itertools
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mmgraph import (
     AMLEProblem,
     InputError,
+    MetricMeasureGraph,
     check_amle_local,
     comparison_check,
+    gen_grid,
     infinity_harmonic_extend,
     mcshane_extend,
     solve_amle,
 )
+from mmgraph import amle
 
 from conftest import make_graph, path_graph, random_geometric_graph
 
@@ -302,3 +311,310 @@ class TestInfinityHarmonicExtend:
         G = path_graph(4)
         with pytest.raises(InputError):
             infinity_harmonic_extend(G, [1, 2], {0: 0.0})
+
+
+# -- bit-identity oracles -------------------------------------------------------
+#
+# ``ReduceatSweep`` is the sweep the bucketed ``amle._Sweep`` replaced: one
+# flat pair table per color class, reduced with ``np.minimum.reduceat`` over
+# each row's d x d block and ``np.maximum.reduceat`` over its d minima.
+# ``solve_amle`` run with it patched in must give the same ``u``,
+# ``residual``, ``iterations`` and degenerate vertices, compared with ``==``.
+
+
+class ReduceatSweep:
+    def __init__(self, csr, active_idx):
+        sub = csr[active_idx]
+        indptr, nbr = sub.indptr.astype(np.intp), sub.indices.astype(np.intp)
+        self.active = active_idx
+        self.starts = indptr[:-1]
+        self.nbr = nbr
+        self.lens = sub.data
+        self.expand = np.repeat(np.arange(active_idx.size), np.diff(indptr))
+        cuts = indptr[1:-1]
+        rows, nbrs_of, lens_of = (
+            active_idx.tolist(), np.split(nbr, cuts), np.split(sub.data, cuts)
+        )
+        color_of = {}
+        for k, vi in enumerate(rows):
+            used = {color_of[int(w)] for w in nbrs_of[k] if int(w) in color_of}
+            c = 0
+            while c in used:
+                c += 1
+            color_of[vi] = c
+        self.classes = []
+        for c in range(max(color_of.values()) + 1):
+            members = [k for k, vi in enumerate(rows) if color_of[vi] == c]
+            pair_i, pair_j, coef_i, coef_j, inner, outer = [], [], [], [], [], []
+            pos_pairs = pos_blocks = 0
+            for k in members:
+                vn, vl = nbrs_of[k], lens_of[k]
+                d = len(vn)
+                pair_i.append(np.repeat(vn, d))
+                pair_j.append(np.tile(vn, d))
+                li, lj = np.repeat(vl, d), np.tile(vl, d)
+                coef_i.append(li / (li + lj))
+                coef_j.append(lj / (li + lj))
+                inner.extend(range(pos_pairs, pos_pairs + d * d, d))
+                outer.append(pos_blocks)
+                pos_pairs += d * d
+                pos_blocks += d
+            self.classes.append((
+                np.asarray([rows[k] for k in members], dtype=np.int64),
+                np.concatenate(pair_i), np.concatenate(pair_j),
+                np.concatenate(coef_i), np.concatenate(coef_j),
+                np.asarray(inner, dtype=np.int64), np.asarray(outer, dtype=np.int64),
+            ))
+
+    def residual(self, u):
+        s = (u[self.nbr] - u[self.active[self.expand]]) / self.lens
+        sup = np.maximum.reduceat(s, self.starts)
+        sdn = np.maximum.reduceat(-s, self.starts)
+        return float(np.max(np.abs(sup - sdn)))
+
+    def relax(self, u):
+        for verts, pair_i, pair_j, coef_i, coef_j, inner, outer in self.classes:
+            t = coef_j * u[pair_i] + coef_i * u[pair_j]
+            u[verts] = np.maximum.reduceat(np.minimum.reduceat(t, inner), outer)
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def assert_same_solution(got, want):
+    assert list(got.u) == list(want.u)
+    assert all(_same(got.u[v], want.u[v]) for v in got.u)
+    assert _same(got.residual, want.residual)
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.degenerate_vertices == want.degenerate_vertices
+
+
+def with_reduceat_sweep(solve, *args, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(amle, "_Sweep", ReduceatSweep)
+        return solve(*args, **kwargs)
+
+
+def assert_matches_reduceat(problem, **kwargs):
+    got = solve_amle(problem, **kwargs)
+    assert_same_solution(got, with_reduceat_sweep(solve_amle, problem, **kwargs))
+    return got
+
+
+def bucket_layout(problem):
+    """(distinct bucket widths, padded rows) of the problem's sweep."""
+    G = problem.graph
+    bset = set(problem.boundary)
+    metric = G._metric(problem.metric_choice)
+    reach = np.isfinite(G.distances_from(list(bset), mask=metric, min_only=True))
+    active = np.asarray(
+        [i for i, v in enumerate(G.vertex_ids) if int(v) not in bset and reach[i]]
+    )
+    buckets = amle._Sweep(G._csr(metric), active).buckets
+    widths = {nb.shape[0] for _, nb, _, _ in buckets}
+    # a CSR row never repeats a neighbor, so a repeat is padding
+    padded = sum(int(np.sum(nb[-1] == nb[-2])) for _, nb, _, _ in buckets if len(nb) > 1)
+    return widths, padded
+
+
+LENGTHS = st.one_of(
+    st.sampled_from([1e-300, 1e300, 1.0]),
+    st.floats(min_value=0.01, max_value=100.0),
+)
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0]),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+ORACLE = settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def amle_problems(draw, max_n=14):
+    """A problem on shuffled ids with mixed degrees and zero-measure edges."""
+    n = draw(st.integers(2, max_n))
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n, unique=True))
+    pairs = list(itertools.combinations(ids, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n))
+    edges = [
+        (a, b, draw(LENGTHS), draw(st.sampled_from([0.0, 0.0, 1.0, 2.5])))
+        for a, b in chosen
+    ]
+    G = make_graph([(v, 1.0) for v in ids], edges)
+    boundary = draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    g = {v: draw(VALUES) for v in boundary}
+    return AMLEProblem(G, tuple(boundary), g, draw(st.sampled_from(["graph", "essential"])))
+
+
+def walled_grid(h):
+    """Unit-square grid whose edges across x = 0.45 have measure zero,
+    except in a gap at 0.3 <= y <= 0.5."""
+    G = gen_grid(h, rect=(0, 0, 1, 1))
+    ids = G.vertex_ids
+    pos = {int(v): p for v, p in zip(ids, G.pos)}
+    a, b, length, mu = [], [], [], []
+    for e in G.edges():
+        (xa, ya), (xb, yb) = pos[e.a], pos[e.b]
+        cross = min(xa, xb) < 0.45 < max(xa, xb)
+        gap = 0.3 <= min(ya, yb) and max(ya, yb) <= 0.5
+        a.append(e.a)
+        b.append(e.b)
+        length.append(e.length)
+        mu.append(0.0 if cross and not gap else 1.0)
+    W = MetricMeasureGraph.from_arrays(
+        ids, G.mu, G.pos, np.asarray(a), np.asarray(b), np.asarray(length), np.asarray(mu)
+    )
+    side = (np.min(G.pos, axis=1) < 1e-9) | (np.max(G.pos, axis=1) > 1 - 1e-9)
+    x, y = G.pos[:, 0], G.pos[:, 1]
+    data = np.sin(3.5 * x) + y ** 2 + 0.5 * x * y
+    g = {int(v): float(d) for v, d, s in zip(ids, data, side) if s}
+    return W, g
+
+
+class TestReduceatOracle:
+    @ORACLE
+    @given(amle_problems(), st.sampled_from(["mcshane", "min", "max"]))
+    def test_random_graphs(self, problem, init):
+        assert_matches_reduceat(problem, tol=1e-12, max_iter=40, init=init)
+
+    @ORACLE
+    @given(st.data(), st.integers(1, 20))
+    def test_stars(self, data, k):
+        arms = [data.draw(LENGTHS) for _ in range(k)]
+        vals = [data.draw(VALUES) for _ in range(k)]
+        problem = star_graph(arms, vals)
+        # leaves outside the boundary are degree-1 rows next to the center
+        keep = data.draw(st.lists(st.sampled_from(problem.boundary), min_size=1, unique=True))
+        problem = AMLEProblem(problem.graph, tuple(keep), {v: problem.g[v] for v in keep})
+        assert_matches_reduceat(problem, tol=1e-13, max_iter=40)
+
+    def test_extreme_lengths(self):
+        # 1e-300 next to 1e300: the pair coefficients underflow to 0 and 1
+        G = make_graph(
+            [(v, 1.0) for v in range(6)],
+            [(0, 1, 1e-300), (1, 2, 1e300), (1, 3, 1.0), (3, 4, 1e-300),
+             (4, 5, 1e300), (2, 4, 2.0)],
+        )
+        for init in ("mcshane", "min", "max"):
+            problem = AMLEProblem(G, (0, 5), {0: -1.0, 5: 2.0})
+            assert_matches_reduceat(problem, tol=1e-12, max_iter=60, init=init)
+
+    def test_mixed_degrees_use_padded_buckets(self, rng):
+        G = random_geometric_graph(rng, 300)
+        boundary = tuple(int(v) for v in rng.choice(300, size=30, replace=False))
+        problem = AMLEProblem(G, boundary, {v: float(rng.normal()) for v in boundary})
+        widths, padded = bucket_layout(problem)
+        assert len(widths) >= 2 and padded > 0
+        assert_matches_reduceat(problem, tol=1e-12, max_iter=60)
+
+    @pytest.mark.parametrize("metric", ["graph", "essential"])
+    @pytest.mark.parametrize("init", ["mcshane", "min", "max"])
+    def test_walled_grid(self, metric, init):
+        G, g = walled_grid(1 / 12)
+        problem = AMLEProblem(G, tuple(g), g, metric)
+        sol = assert_matches_reduceat(problem, tol=1e-10, max_iter=2000, init=init)
+        assert sol.converged
+        if metric == "essential":
+            # the wall leaves degree-5 rows among degree-8 ones
+            assert bucket_layout(problem)[1] > 0
+
+    def test_walled_grid_interior_extension(self):
+        G, _ = walled_grid(1 / 12)
+        pos = {int(v): p for v, p in zip(G.vertex_ids, G.pos)}
+        omega = [v for v, (x, y) in pos.items() if (x - 0.45) ** 2 + (y - 0.5) ** 2 < 0.09]
+        gg = {v: math.cos(2 * x) * y + 0.5 * x for v, (x, y) in pos.items() if v not in omega}
+        kwargs = dict(tol=1e-10, max_iter=2000)
+        got = infinity_harmonic_extend(G, omega, gg, **kwargs)
+        assert got.converged
+        assert_same_solution(got, with_reduceat_sweep(infinity_harmonic_extend, G, omega, gg, **kwargs))
+
+
+def check_local_loop(u, problem):
+    """The per-edge loop ``check_amle_local`` replaced."""
+    G = problem.graph
+    ids = G.vertex_ids
+    for v in problem.boundary:
+        if v not in u:
+            raise InputError(f"u missing boundary vertex {v}")
+        if float(u[v]) != problem.g[v]:
+            raise InputError(f"u differs from boundary data at vertex {v}")
+    bset = set(problem.boundary)
+    csr = G._csr(problem.metric_choice)
+    indptr, heads, lens = csr.indptr, csr.indices, csr.data
+    out = {}
+    for vi in range(G.n_vertices):
+        vid = int(ids[vi])
+        if vid in bset:
+            continue
+        sup, sdn = -math.inf, -math.inf
+        for p in range(indptr[vi], indptr[vi + 1]):
+            wid = int(ids[heads[p]])
+            if vid not in u or wid not in u:
+                raise InputError(f"u missing a value near vertex {vid}")
+            ux, uw = float(u[vid]), float(u[wid])
+            if not (np.isfinite(ux) and np.isfinite(uw)):
+                raise InputError(f"u not finite near vertex {vid}")
+            slope = (uw - ux) / float(lens[p])
+            sup = max(sup, slope)
+            sdn = max(sdn, -slope)
+        out[vid] = abs(sup - sdn) if np.isfinite(sup) else 0.0
+    return out
+
+
+def local_outcome(check, u, problem):
+    try:
+        return list(check(u, problem).items())
+    except InputError as exc:
+        return str(exc)
+
+
+class TestCheckLocalOracle:
+    @ORACLE
+    @given(
+        amle_problems(),
+        st.data(),
+        st.sampled_from([0.0, 0.05, 0.3]),
+    )
+    def test_matches_loop(self, problem, data, bad_rate):
+        """Same residuals bit for bit, or the same error at the same vertex."""
+        u = dict(problem.g)
+        for v in problem.graph.vertex_ids.tolist():
+            if v in u:
+                continue
+            if data.draw(st.floats(0, 1)) < bad_rate:
+                choice = data.draw(st.sampled_from(["missing", math.nan, math.inf, -math.inf]))
+                if choice != "missing":
+                    u[v] = choice
+            else:
+                u[v] = data.draw(st.one_of(VALUES, st.sampled_from([1e300, -1e300])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = local_outcome(check_amle_local, u, problem)
+        assert got == local_outcome(check_local_loop, u, problem)
+
+    def test_overflowing_slopes(self):
+        # 1e300 across 1e-300 overflows to an infinite slope: an infinite
+        # max up-slope reads 0, an infinite max down-slope reads inf
+        G = make_graph(
+            [(v, 1.0) for v in range(4)], [(0, 1, 1e-300), (1, 2, 1.0), (2, 3, 1e-300)]
+        )
+        problem = AMLEProblem(G, (0, 3), {0: 1e300, 3: -1e300})
+        u = {0: 1e300, 1: 0.0, 2: 0.0, 3: -1e300}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_amle_local(u, problem) == {1: 0.0, 2: math.inf}
+        for mid in (1e300, -1e300, 5.0):
+            u[1] = u[2] = mid
+            assert local_outcome(check_amle_local, u, problem) == local_outcome(
+                check_local_loop, u, problem
+            )
+
+    def test_matches_loop_on_solution(self):
+        G, g = walled_grid(1 / 12)
+        for metric in ("graph", "essential"):
+            problem = AMLEProblem(G, tuple(g), g, metric)
+            sol = solve_amle(problem, tol=1e-10, max_iter=2000)
+            assert check_amle_local(sol.u, problem) == check_local_loop(sol.u, problem)

@@ -2,6 +2,7 @@
 Whitney covers, Whitney extension."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,18 @@ class TestVectorField:
         assert vector_lipschitz_constant(G, vf) == pytest.approx(
             lipschitz_constant(G, u), rel=1e-12
         )
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("metric", [None, "essential"])
+    def test_vector_lipschitz_rejects_non_finite(self, bad, metric):
+        # the first key in id order with a non-finite coordinate is named,
+        # with no RuntimeWarning on the way
+        G = path_graph(5)
+        vf = VectorField({4: (math.nan, 0.0), 0: (0.0, 1.0), 2: (1.0, bad)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=r"^non-finite value at vertex 2$"):
+                vector_lipschitz_constant(G, vf, metric)
 
 
 class TestWhitneyExtend:
