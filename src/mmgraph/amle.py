@@ -28,6 +28,18 @@ table of pair values; padding a shorter row by a repeated neighbor
 repeats a row and a column of its table, so every t* stays bit-identical
 to solving that vertex alone (see ``_Sweep``).
 
+The solver stops at the first sweep whose largest imbalance is at most
+``tol``, but it evaluates that full residual only when it can change the
+outcome.  Each full residual keeps a few of the rows above ``tol`` as
+witnesses; after a sweep, the witnesses' imbalance is computed by the
+same float arithmetic, row for row, as in the full residual, so while
+one of them is above ``tol`` the full residual is too and need not run.
+It runs, and renews the witnesses, once none is above ``tol`` or
+``max_iter`` is reached; the iterates, the sweep count and the reported
+residual are those of testing after every sweep.  A row's imbalance is
+max(s) + min(s) of its slopes s; a row whose slopes overflow is summed
+at a power-of-two scale, so it reads inf only when its imbalance does.
+
 Under ``metric_choice = "essential"`` only
 positive-measure edges participate; interior vertices with no
 positive-measure route to the boundary are degenerate: the solver never
@@ -100,6 +112,49 @@ class AMLESolution:
     problem: AMLEProblem = field(repr=False)
 
 
+#: Rows whose imbalance ``solve_amle`` re-evaluates after every sweep in
+#: place of the full residual, while one of them stays above ``tol``.
+_WITNESSES = 32
+
+
+def _row_edges(starts: np.ndarray, ends: np.ndarray, rows: np.ndarray):
+    """Flat edge positions of the given rows (at least one), and where each
+    row starts among them."""
+    cnt = ends[rows] - starts[rows]
+    at = np.cumsum(cnt) - cnt
+    return np.repeat(starts[rows] - at, cnt) + np.arange(at[-1] + cnt[-1]), at
+
+
+def _imbalance(u, owner, nbr, lens, starts) -> np.ndarray:
+    """Signed slope imbalance max(s) + min(s) of each row.
+
+    The slopes are s = (u[nbr] - u[owner]) / lens, and a row is the run of
+    edges from its entry in ``starts`` to the next (none is empty).  The
+    max down-slope is -min(s), so |max(s) + min(s)| is the row's residual.
+    A row whose slopes or sum overflow is summed again on its slopes
+    scaled by 2**-m, m the row's largest slope exponent, and scaled back:
+    powers of two keep every rounding, so such a row reads inf only where
+    its imbalance overflows, never NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = (u[nbr] - u[owner]) / lens
+        imb = np.maximum.reduceat(s, starts) + np.minimum.reduceat(s, starts)
+        bad = np.flatnonzero(~np.isfinite(imb))
+        if bad.size:
+            pos, at = _row_edges(starts, np.append(starts[1:], s.size), bad)
+            a, b = u[nbr[pos]], u[owner[pos]]
+            diff = a - b
+            half = np.isinf(diff)  # then a and b are large, and halving is exact
+            diff[half] = a[half] * 0.5 - b[half] * 0.5
+            dm, de = np.frexp(diff)
+            lm, le = np.frexp(lens[pos])
+            e = de.astype(np.int64) - le + half  # s = (dm / lm) * 2**e
+            m = np.maximum.reduceat(np.where(dm != 0, e, -(1 << 30)), at)  # 0 has no exponent
+            t = np.ldexp(dm / lm, e - np.repeat(m, np.diff(np.append(at, pos.size))))
+            imb[bad] = np.ldexp(np.maximum.reduceat(t, at) + np.minimum.reduceat(t, at), m)
+    return imb
+
+
 #: A degree joins the wider bucket above it when padding adds at most this
 #: many pair-table entries, about the cost of one more bucket's numpy calls.
 _PAD_ENTRIES = 2048
@@ -130,10 +185,11 @@ class _Sweep:
         # scipy's int32 indices would be cast to intp on every sweep
         indptr, nbr = sub.indptr.astype(np.intp), sub.indices.astype(np.intp)
         deg = np.diff(indptr)
-        self.starts = indptr[:-1]
+        self.starts, self.ends = indptr[:-1], indptr[1:]
         self.nbr = nbr
         self.owner = np.repeat(active_idx, deg)
         self.lens = sub.data
+        self.screen = None
         # greedy coloring in row order; a neighbor's rank is its row, or n
         # when it is not active, so ``j < k`` picks the rows colored so far
         n, ptr = active_idx.size, indptr.tolist()
@@ -167,12 +223,31 @@ class _Sweep:
                     (active_idx[part], nbr[at], L[None] / den, L[:, None] / den)
                 )
 
-    def residual(self, u: np.ndarray) -> float:
-        """Largest |max up-slope - max down-slope| over the active rows."""
-        s = (u[self.nbr] - u[self.owner]) / self.lens
-        # the max down-slope is -min(s), so the imbalance is max(s) + min(s)
-        imbalance = np.maximum.reduceat(s, self.starts) + np.minimum.reduceat(s, self.starts)
-        return float(np.max(np.abs(imbalance)))
+    def residual(self, u: np.ndarray, tol: float) -> float:
+        """Largest |max up-slope - max down-slope| over the active rows.
+
+        Keeps the ``_WITNESSES`` largest rows whose imbalance is above
+        ``tol`` or NaN as the witnesses that ``witnessed`` evaluates.
+        """
+        imb = np.abs(_imbalance(u, self.owner, self.nbr, self.lens, self.starts))
+        hot = np.flatnonzero(~(imb <= tol))
+        if hot.size > _WITNESSES:  # NaN partitions above inf
+            hot = hot[np.argpartition(imb[hot], -_WITNESSES)[-_WITNESSES:]]
+        self.screen = None
+        if hot.size:
+            pos, starts = _row_edges(self.starts, self.ends, hot)
+            self.screen = (self.owner[pos], self.nbr[pos], self.lens[pos], starts)
+        return float(np.max(imb))
+
+    def witnessed(self, u: np.ndarray, tol: float) -> bool:
+        """True when a witness row's imbalance is above ``tol`` or NaN.
+
+        Each witness row is evaluated by the same arithmetic as in
+        ``residual``, so the full residual is then above ``tol`` or NaN.
+        """
+        if self.screen is None:
+            return False
+        return not np.all(np.abs(_imbalance(u, *self.screen)) <= tol)
 
     def relax(self, u: np.ndarray) -> None:
         for verts, nb, ci, cj in self.buckets:
@@ -258,13 +333,11 @@ def solve_amle(
     sweep = _Sweep(G._csr(metric), active_idx)
     iterations = 0
     while True:
-        residual = sweep.residual(u)
-        if residual <= tol:
-            converged = True
-            break
-        if iterations >= max_iter:
-            converged = False
-            break
+        # a witness above tol certifies that the residual is above tol
+        if iterations >= max_iter or not sweep.witnessed(u, tol):
+            residual = sweep.residual(u, tol)
+            if residual <= tol or iterations >= max_iter:
+                break
         sweep.relax(u)
         iterations += 1
 
@@ -272,7 +345,7 @@ def solve_amle(
         u={int(ids[i]): float(u[i]) for i in range(G.n_vertices)},
         residual=residual,
         iterations=iterations,
-        converged=converged,
+        converged=residual <= tol,
         degenerate_vertices=degenerate,
         tol=float(tol),
         problem=problem,
@@ -284,7 +357,8 @@ def check_amle_local(u: Mapping[int, float], problem: AMLEProblem) -> dict[int, 
 
     Requires ``u`` to equal the boundary data exactly.  Interior vertices
     with no edges under the problem's metric choice get residual 0 (the
-    balance condition is vacuous there, the degenerate regime).
+    balance condition is vacuous there, the degenerate regime); every
+    other vertex reads inf only when its imbalance is past the float range.
     """
     G = problem.graph
     ids = G.vertex_ids
@@ -312,11 +386,7 @@ def check_amle_local(u: Mapping[int, float], problem: AMLEProblem) -> dict[int, 
     edged = np.diff(sub.indptr) > 0
     if edged.any():
         starts = sub.indptr[:-1][edged]
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = (val[heads] - val[owner]) / sub.data
-            sup, low = np.maximum.reduceat(s, starts), np.minimum.reduceat(s, starts)
-            # the max down-slope is -low; an infinite max up-slope reads 0
-            res[edged] = np.where(np.isfinite(sup), np.abs(sup + low), 0.0)
+        res[edged] = np.abs(_imbalance(val, owner, heads, sub.data, starts))
     return dict(zip(ids[rows].tolist(), res.tolist()))
 
 

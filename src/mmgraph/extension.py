@@ -26,7 +26,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .graph import Metric, MetricMeasureGraph, _max_slope, lipschitz_constant
+from .graph import Metric, MetricMeasureGraph, _distance_rows, _max_slope, lipschitz_constant
 from .util import CertifyError, InputError, LENGTH_TOL
 
 
@@ -248,6 +248,16 @@ def nagata_cover(
     probing every closed ball of radius s/2: each such probe has diameter
     <= s, and the recorded n + 1 is the largest member count any probe
     met.
+
+    Every step reads only distances up to 2s + LENGTH_TOL, so each point's
+    row comes from one search truncated there (``graph._distance_rows``,
+    restricted to the points): the net and the nearest centers read
+    entries below s, as every point lies within s of a center; the probes
+    read entries up to s/2; and a set passes its diameter check exactly
+    when each member's row holds every other member within 2s +
+    LENGTH_TOL, the bound the triangle inequality gives through the
+    center up to that slack for rounding.  Only the points within that
+    bound are kept per row, so memory grows with the ball size, not k**2.
     """
     if not (s > 0) or not np.isfinite(s):
         raise InputError("scale s must be positive and finite")
@@ -262,35 +272,43 @@ def nagata_cover(
     if not pts:
         raise InputError("need at least one point")
     k = len(pts)
-    dmat = G.distance_matrix(pts)
     cols = np.asarray([G.index_of(v) for v in pts], dtype=np.int64)
-    dmat = dmat[:, cols]
+    limit = 2.0 * s + LENGTH_TOL
 
     mind = np.full(k, math.inf)
-    center_rows: list[int] = []
-    for i in range(k):
+    near: list[tuple[np.ndarray, np.ndarray]] = []  # per center: points within s
+    probes: list[np.ndarray] = []
+    close: list[np.ndarray] = []
+    for i, row in enumerate(_distance_rows(G, cols, limit=limit)):
+        d = row[cols]
         if mind[i] >= s:
-            center_rows.append(i)
-            np.minimum(mind, dmat[i], out=mind)
-    dist_to_centers = dmat[center_rows]
-    assign = np.argmin(dist_to_centers, axis=0)
+            np.minimum(mind, d, out=mind)
+            j = (d < s).nonzero()[0]
+            near.append((j, d[j]))
+        probes.append((d <= s / 2.0).nonzero()[0])
+        close.append((d <= limit).nonzero()[0].astype(np.int32))
+    n_centers = len(near)
+    # each point's nearest center, the first on ties, among those within s
+    ci = np.concatenate([np.full(j.size, c) for c, (j, _) in enumerate(near)])
+    cj = np.concatenate([j for j, _ in near])
+    order = np.lexsort((ci, np.concatenate([dj for _, dj in near]), cj))
+    assign = ci[order[np.r_[True, np.diff(cj[order]) != 0]]]
 
-    sets: list[tuple[int, ...]] = []
-    for ci in range(len(center_rows)):
-        rows = [j for j in range(k) if assign[j] == ci]
-        sets.append(tuple(pts[j] for j in rows))
-        diam = float(np.max(dmat[np.ix_(rows, rows)]))
-        if diam > 2.0 * s + LENGTH_TOL:
-            raise CertifyError(f"cover set diameter {diam} exceeds 2s = {2 * s}")
+    size = np.bincount(assign, minlength=n_centers)
+    members = np.split(np.argsort(assign, kind="stable"), np.cumsum(size)[:-1])
+    sets = [tuple(pts[j] for j in m.tolist()) for m in members]
+    held = np.asarray([np.count_nonzero(assign[c] == assign[a]) for a, c in enumerate(close)])
+    wide = held < size[assign]
+    if wide.any():
+        rows = cols[members[assign[wide].min()]]
+        diam = max(float(np.max(r[rows])) for r in _distance_rows(G, rows))
+        raise CertifyError(f"cover set diameter {diam} exceeds 2s = {2 * s}")
 
-    probe_max = 0
-    probe_witness = None
-    for j in range(k):
-        members = dmat[j] <= s / 2.0
-        count = int(np.unique(assign[members]).size)
-        if count > probe_max:
-            probe_max = count
-            probe_witness = pts[j]
+    owner = np.repeat(np.arange(k), [b.size for b in probes])
+    met = np.unique(owner * n_centers + assign[np.concatenate(probes)])
+    counts = np.bincount(met // n_centers, minlength=k)
+    probe_max = int(counts.max())
+    probe_witness = pts[int(np.argmax(counts))]
     n = max(0, probe_max - 1)
     exceeded = target_n is not None and probe_max > target_n + 1
     return NagataCover(

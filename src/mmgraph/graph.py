@@ -626,11 +626,12 @@ def _max_slope(G, keys, vals, size, metric) -> float:
 
 def _max_ratio(du: np.ndarray, d: np.ndarray) -> float:
     """Largest ``du / d`` over pairs: pairs at infinite distance are
-    skipped, a positive ``du`` at distance ``<= 0`` gives ``inf``, and no
-    pair at all gives 0."""
+    skipped, a positive ``du`` at distance ``<= 0`` gives ``inf``, so does
+    a ratio past the float range, and no pair at all gives 0."""
     finite = np.isfinite(d)
     d, du = d[finite], du[finite]
     if np.any((d <= 0) & (du > 0)):
         return math.inf
     ok = d > 0
-    return float(np.max(du[ok] / d[ok], initial=0.0))
+    with np.errstate(over="ignore"):
+        return float(np.max(du[ok] / d[ok], initial=0.0))

@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from mmgraph import (
     AMLEProblem,
+    AMLESolution,
     InputError,
     MetricMeasureGraph,
     check_amle_local,
@@ -320,6 +322,8 @@ class TestInfinityHarmonicExtend:
 # each row's d x d block and ``np.maximum.reduceat`` over its d minima.
 # ``solve_amle`` run with it patched in must give the same ``u``,
 # ``residual``, ``iterations`` and degenerate vertices, compared with ``==``.
+# It keeps no witnesses (``witnessed`` is always False), so the solver runs
+# its full residual after every sweep; the arithmetic is the old one.
 
 
 class ReduceatSweep:
@@ -366,11 +370,14 @@ class ReduceatSweep:
                 np.asarray(inner, dtype=np.int64), np.asarray(outer, dtype=np.int64),
             ))
 
-    def residual(self, u):
+    def residual(self, u, tol=None):
         s = (u[self.nbr] - u[self.active[self.expand]]) / self.lens
         sup = np.maximum.reduceat(s, self.starts)
         sdn = np.maximum.reduceat(-s, self.starts)
         return float(np.max(np.abs(sup - sdn)))
+
+    def witnessed(self, u, tol):
+        return False
 
     def relax(self, u):
         for verts, pair_i, pair_j, coef_i, coef_j, inner, outer in self.classes:
@@ -433,7 +440,7 @@ ORACLE = settings(
 
 
 @st.composite
-def amle_problems(draw, max_n=14):
+def amle_problems(draw, max_n=14, values=VALUES):
     """A problem on shuffled ids with mixed degrees and zero-measure edges."""
     n = draw(st.integers(2, max_n))
     ids = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n, unique=True))
@@ -445,7 +452,7 @@ def amle_problems(draw, max_n=14):
     ]
     G = make_graph([(v, 1.0) for v in ids], edges)
     boundary = draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
-    g = {v: draw(VALUES) for v in boundary}
+    g = {v: draw(values) for v in boundary}
     return AMLEProblem(G, tuple(boundary), g, draw(st.sampled_from(["graph", "essential"])))
 
 
@@ -532,8 +539,129 @@ class TestReduceatOracle:
         assert_same_solution(got, with_reduceat_sweep(infinity_harmonic_extend, G, omega, gg, **kwargs))
 
 
+# ``solve_unscreened`` is the stopping loop the witness screen replaced: the
+# full residual after every sweep.  Starting from the field ``solve_amle``
+# fills in before its first sweep, it must give the same ``u`` bits,
+# ``residual``, ``iterations``, ``converged`` and degenerate vertices.
+
+
+def solve_unscreened(problem, tol, max_iter, init="mcshane"):
+    start = solve_amle(problem, tol=tol, max_iter=0, init=init)
+    G = problem.graph
+    ids = G.vertex_ids.tolist()
+    skip = set(problem.boundary) | set(start.degenerate_vertices)
+    active = np.asarray([i for i, v in enumerate(ids) if v not in skip], dtype=np.int64)
+    if not active.size:
+        return start
+    u = np.asarray([start.u[v] for v in ids])
+    sweep = amle._Sweep(G._csr(problem.metric_choice), active)
+    iterations = 0
+    while True:
+        residual = sweep.residual(u, tol)
+        if residual <= tol:
+            converged = True
+            break
+        if iterations >= max_iter:
+            converged = False
+            break
+        sweep.relax(u)
+        iterations += 1
+    return AMLESolution(
+        u=dict(zip(ids, u.tolist())),
+        residual=residual,
+        iterations=iterations,
+        converged=converged,
+        degenerate_vertices=start.degenerate_vertices,
+        tol=float(tol),
+        problem=problem,
+    )
+
+
+def assert_same_bits(got, want):
+    assert list(got.u) == list(want.u)
+    bits = [np.asarray(list(sol.u.values())).tobytes() for sol in (got, want)]
+    assert bits[0] == bits[1]
+    assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.degenerate_vertices == want.degenerate_vertices
+
+
+class TestScreenOracle:
+    @ORACLE
+    @given(
+        amle_problems(values=st.one_of(VALUES, st.sampled_from([1e300, -1e300]))),
+        st.sampled_from(["mcshane", "min", "max"]),
+        st.sampled_from([0, 1, 5, 40]),
+    )
+    def test_random_graphs(self, problem, init, max_iter):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solve_amle(problem, tol=1e-12, max_iter=max_iter, init=init)
+        assert_same_bits(got, solve_unscreened(problem, 1e-12, max_iter, init))
+
+    @pytest.mark.parametrize("metric", ["graph", "essential"])
+    @pytest.mark.parametrize("init", ["mcshane", "min", "max"])
+    def test_walled_grid(self, metric, init):
+        G, g = walled_grid(1 / 12)
+        problem = AMLEProblem(G, tuple(g), g, metric)
+        for max_iter in (0, 1, 5, 2000):
+            got = solve_amle(problem, tol=1e-10, max_iter=max_iter, init=init)
+            assert_same_bits(got, solve_unscreened(problem, 1e-10, max_iter, init))
+        assert got.converged
+
+    def test_tol_on_a_reached_residual(self):
+        # a witness whose imbalance equals tol does not hold the loop
+        G, g = walled_grid(1 / 12)
+        problem = AMLEProblem(G, tuple(g), g, "essential")
+        for k in range(1, 12):
+            tol = solve_amle(problem, tol=1e-10, max_iter=k).residual
+            got = solve_amle(problem, tol=tol)
+            assert_same_bits(got, solve_unscreened(problem, tol, 10 ** 6))
+
+    def test_full_residual_runs_rarely(self, monkeypatch):
+        G, g = walled_grid(1 / 32)
+        calls = []
+        full = amle._Sweep.residual
+
+        def counting(self, u, tol):
+            calls.append(1)
+            return full(self, u, tol)
+
+        monkeypatch.setattr(amle._Sweep, "residual", counting)
+        for metric, init in (("graph", "mcshane"), ("essential", "min"), ("essential", "max")):
+            calls.clear()
+            sol = solve_amle(AMLEProblem(G, tuple(g), g, metric), tol=1e-8, init=init)
+            assert sol.converged and sol.iterations > 500
+            assert len(calls) <= sol.iterations // 50
+
+    def test_overflowing_slopes_converge(self):
+        # slopes of +-5e309 overflow; the midpoint balances them exactly
+        G = make_graph([(v, 1.0) for v in range(3)], [(0, 1, 1e-300), (1, 2, 1e-300)])
+        problem = AMLEProblem(G, (0, 2), {0: 0.0, 2: 1e10})
+        for init in ("mcshane", "min", "max"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sol = solve_amle(problem, init=init)
+            assert sol.converged and sol.residual == 0.0 and sol.iterations <= 2
+            assert sol.u[1] == 5e9
+
+
+def unbounded(x):
+    """The Fraction x rounded to 53 bits, with no limit on the exponent."""
+    if x == 0:
+        return x
+    scale = Fraction(2) ** (x.numerator.bit_length() - x.denominator.bit_length())
+    return Fraction(float(x / scale)) * scale
+
+
 def check_local_loop(u, problem):
-    """The per-edge loop ``check_amle_local`` replaced."""
+    """The per-edge loop ``check_amle_local`` replaced.
+
+    A row with an overflowing slope is summed again in exact rationals,
+    rounded as floats with an unbounded exponent would round, and reads
+    inf only when that imbalance is past the float range.
+    """
     G = problem.graph
     ids = G.vertex_ids
     for v in problem.boundary:
@@ -550,6 +678,7 @@ def check_local_loop(u, problem):
         if vid in bset:
             continue
         sup, sdn = -math.inf, -math.inf
+        edges = []
         for p in range(indptr[vi], indptr[vi + 1]):
             wid = int(ids[heads[p]])
             if vid not in u or wid not in u:
@@ -560,7 +689,16 @@ def check_local_loop(u, problem):
             slope = (uw - ux) / float(lens[p])
             sup = max(sup, slope)
             sdn = max(sdn, -slope)
-        out[vid] = abs(sup - sdn) if np.isfinite(sup) else 0.0
+            edges.append((uw, ux, float(lens[p])))
+        if not edges:
+            out[vid] = 0.0
+        elif math.isfinite(sup) and math.isfinite(sdn):
+            out[vid] = abs(sup - sdn)
+        else:
+            s = [unbounded(unbounded(Fraction(a) - Fraction(b)) / Fraction(L))
+                 for a, b, L in edges]
+            imb = abs(unbounded(max(s) + min(s)))
+            out[vid] = float(imb) if imb < 2 ** 1024 else math.inf
     return out
 
 
@@ -589,7 +727,8 @@ class TestCheckLocalOracle:
                 if choice != "missing":
                     u[v] = choice
             else:
-                u[v] = data.draw(st.one_of(VALUES, st.sampled_from([1e300, -1e300])))
+                u[v] = data.draw(st.one_of(
+                    VALUES, st.sampled_from([1e300, -1e300, 1.7e308, -1.7e308])))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = local_outcome(check_amle_local, u, problem)
@@ -597,7 +736,7 @@ class TestCheckLocalOracle:
 
     def test_overflowing_slopes(self):
         # 1e300 across 1e-300 overflows to an infinite slope: an infinite
-        # max up-slope reads 0, an infinite max down-slope reads inf
+        # max up-slope and an infinite max down-slope both read inf
         G = make_graph(
             [(v, 1.0) for v in range(4)], [(0, 1, 1e-300), (1, 2, 1.0), (2, 3, 1e-300)]
         )
@@ -605,12 +744,34 @@ class TestCheckLocalOracle:
         u = {0: 1e300, 1: 0.0, 2: 0.0, 3: -1e300}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert check_amle_local(u, problem) == {1: 0.0, 2: math.inf}
+            assert check_amle_local(u, problem) == {1: math.inf, 2: math.inf}
         for mid in (1e300, -1e300, 5.0):
             u[1] = u[2] = mid
             assert local_outcome(check_amle_local, u, problem) == local_outcome(
                 check_local_loop, u, problem
             )
+
+    def test_overflowing_slopes_that_balance(self):
+        # slopes near +-1e310 overflow, but their sum -2 * mid / 1e-300 is
+        # finite for a small mid: it reads that sum, not NaN or inf
+        G = make_graph([(v, 1.0) for v in range(3)], [(0, 1, 1e-300), (1, 2, 1e-300)])
+        problem = AMLEProblem(G, (0, 2), {0: -1e10, 2: 1e10})
+        got = {}
+        for mid in (0.0, 1e-5, 1e9):
+            u = {0: -1e10, 1: mid, 2: 1e10}
+            got[mid] = check_amle_local(u, problem)[1]
+            assert got[mid] == check_local_loop(u, problem)[1]
+        assert got[0.0] == 0.0
+        assert got[1e-5] == pytest.approx(2e295, rel=0.2)
+        assert got[1e9] == math.inf
+
+    def test_overflowing_differences(self):
+        # 1.7e308 - -1.7e308 overflows, but halved over length 4 the slope
+        # 8.5e307 is finite, and so is the imbalance
+        G = make_graph([(v, 1.0) for v in range(3)], [(0, 1, 4.0), (1, 2, 4.0)])
+        problem = AMLEProblem(G, (0, 2), {0: 1.7e308, 2: -1.7e308})
+        u = {0: 1.7e308, 1: -1.7e308, 2: -1.7e308}
+        assert check_amle_local(u, problem) == {1: 8.5e307} == check_local_loop(u, problem)
 
     def test_matches_loop_on_solution(self):
         G, g = walled_grid(1 / 12)

@@ -2,7 +2,8 @@
 
 Poincare rows, doubling ratios and balls are recomputed from exact
 networkx distances on random graphs with zero-measure vertices and
-edges, disconnected parts and edge lengths of 1e-300 and 1e300.  The
+edges, disconnected parts and edge lengths of 1e-300 and 1e300; Nagata
+covers are compared with the dense construction they replaced.  The
 chunk size of the batched kernel calls is drawn too, so that one source
 per call, a few per call and all of them in one call are each covered.
 """
@@ -10,6 +11,7 @@ per call, a few per call and all of them in one call are each covered.
 import contextlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
@@ -21,11 +23,15 @@ from hypothesis import strategies as st
 import mmgraph.graph as graph_mod
 from conftest import make_graph
 from mmgraph import (
+    CertifyError,
+    MeshSpec,
     MetricMeasureGraph,
+    NagataCover,
     ball,
     doubling_ratios,
     gen_grid,
     hajlasz_gradient_from_upper,
+    nagata_cover,
     poincare_constant,
     quasiconvexity_constant,
     verify_hajlasz,
@@ -251,3 +257,124 @@ class TestBallOracle:
         assert b.members == tuple(want)
         assert b.measure == pytest.approx(math.fsum(mu[v] for v in want), rel=1e-12, abs=0)
         assert (b.center, b.radius, b.closed) == (x, r, closed)
+
+
+def dense_nagata(G, s, target_n=None, points=None):
+    """``nagata_cover`` as built from the dense point-by-point distance matrix."""
+    pts = [int(v) for v in G.vertex_ids] if points is None else sorted(points)
+    k = len(pts)
+    cols = [G.index_of(v) for v in pts]
+    dmat = G.distance_matrix(pts)[:, cols]
+    mind = np.full(k, math.inf)
+    center_rows = []
+    for i in range(k):
+        if mind[i] >= s:
+            center_rows.append(i)
+            np.minimum(mind, dmat[i], out=mind)
+    assign = np.argmin(dmat[center_rows], axis=0)
+    sets = []
+    for ci in range(len(center_rows)):
+        rows = [j for j in range(k) if assign[j] == ci]
+        sets.append(tuple(pts[j] for j in rows))
+        diam = float(np.max(dmat[np.ix_(rows, rows)]))
+        if diam > 2.0 * s + 1e-9:
+            raise CertifyError(f"cover set diameter {diam} exceeds 2s = {2 * s}")
+    probe_max, probe_witness = 0, None
+    for j in range(k):
+        count = int(np.unique(assign[dmat[j] <= s / 2.0]).size)
+        if count > probe_max:
+            probe_max, probe_witness = count, pts[j]
+    return NagataCover(
+        sets=tuple(sets),
+        s=float(s),
+        c=2.0,
+        n=max(0, probe_max - 1),
+        probe_stats={
+            "probe_family": "closed balls of radius s/2",
+            "probes": k,
+            "max_multiplicity": probe_max,
+            "witness_center": probe_witness,
+        },
+        exceeded_target=target_n is not None and probe_max > target_n + 1,
+    )
+
+
+def nagata_outcome(cover, *args, **kwargs):
+    try:
+        return cover(*args, **kwargs)
+    except CertifyError as exc:
+        return str(exc)
+
+
+def dense_nagata_outcome(*args, **kwargs):
+    return nagata_outcome(dense_nagata, *args, **kwargs)
+
+
+class TestNagataOracle:
+    @SETTINGS
+    @given(graphs(), CHUNKS, st.data())
+    def test_matches_dense_construction(self, G, entries, data):
+        ids = [int(v) for v in G.vertex_ids]
+        gaps = finite_gaps(G, exact_distances(G))
+        # scales landing on distances, half and twice distances: ties at s,
+        # 2s and the probe radius s/2
+        base = data.draw(st.sampled_from(gaps + [1.0]))
+        s = data.draw(st.sampled_from([base, base / 2, base * 2, base * 1.0000001]))
+        points = data.draw(st.one_of(
+            st.none(), st.lists(st.sampled_from(ids), min_size=1, unique=True)))
+        target = data.draw(st.sampled_from([None, 0, 1]))
+        with chunked(entries):
+            got = nagata_outcome(nagata_cover, G, s, target_n=target, points=points)
+        assert got == dense_nagata_outcome(G, s, target_n=target, points=points)
+
+    def test_rounding_past_2s_is_refused_as_dense(self):
+        """Summed from its end 5, this path is longer than twice the
+        distance from vertex 0 to its far ends by more than 1e-9: both
+        constructions refuse the one-set cover with the same diameter."""
+        path = [5, 4, 3, 2, 1, 0, 6, 7, 8, 9, 10]
+        lens = [0.7, 0.2, 0.3, 0.2, 0.1, 0.7, 0.2, 0.2, 0.2, 0.2]
+        G = make_graph([(v, 1.0) for v in range(11)],
+                       [(a, b, x * 2.0 ** 40) for a, b, x in zip(path, path[1:], lens)])
+        s = float(np.nextafter(np.max(G.distances_from([0])), np.inf))
+        with pytest.raises(CertifyError, match="diameter") as exc:
+            nagata_cover(G, s)
+        assert str(exc.value) == dense_nagata_outcome(G, s)
+
+    @pytest.mark.parametrize("points", ["all", "odd"])
+    def test_grid_and_carpet(self, points):
+        for G in (gen_grid(1 / 16, (0.0, 0.0, 1.0, 1.0)),
+                  MeshSpec.from_dict({"kind": "carpet", "level": 3,
+                                      "negligible_mode": "all"}).build()):
+            pts = None if points == "all" else [int(v) for v in G.vertex_ids if v % 2]
+            for s in (0.05, 0.1, 0.25):
+                assert nagata_cover(G, s, points=pts) == dense_nagata(G, s, points=pts)
+
+    def test_peak_memory_at_h_1_64(self):
+        G = gen_grid(1 / 64, (0.0, 0.0, 1.0, 1.0))
+        tracemalloc.start()
+        try:
+            nagata_cover(G, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+    @pytest.mark.parametrize("per_call", [7, None])
+    def test_kernel_calls(self, per_call, monkeypatch):
+        G = gen_grid(1 / 12, (0.0, 0.0, 1.0, 1.0))
+        n = G.n_vertices
+        if per_call is not None:
+            monkeypatch.setattr(graph_mod, "_CHUNK_ENTRIES", per_call * n)
+        calls = []
+        orig = MetricMeasureGraph.distances_from
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(MetricMeasureGraph, "distances_from", counting)
+        ids = [int(v) for v in G.vertex_ids]
+        for pts in (ids, ids[::3]):
+            calls.clear()
+            nagata_cover(G, 0.2, points=pts)
+            assert len(calls) == math.ceil(len(pts) / graph_mod._chunk_sources(n))
