@@ -99,24 +99,7 @@ class MetricMeasureGraph:
     """
 
     def __init__(self, vertices: Sequence[Mapping], edges: Sequence[Mapping]):
-        try:
-            ids = np.asarray([v["id"] for v in vertices], dtype=np.int64)
-            mu = _floats([v["mu"] for v in vertices], "vertex mu")
-            has_pos = [("pos" in v and v["pos"] is not None) for v in vertices]
-            if any(has_pos) and not all(has_pos):
-                raise InputError("pos must be given for all vertices or none")
-            pos = None
-            if vertices and all(has_pos):
-                pos = _floats([v["pos"] for v in vertices], "vertex pos", rows=True)
-                if pos.ndim != 2:
-                    raise InputError("vertex pos entries must share one dimension")
-            ea = np.asarray([e["a"] for e in edges], dtype=np.int64)
-            eb = np.asarray([e["b"] for e in edges], dtype=np.int64)
-            elen = _floats([e["len"] for e in edges], "edge len")
-            emu = _floats([e["mu_edge"] for e in edges], "edge mu_edge")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"malformed vertex or edge record: {exc}") from exc
-        self._init_arrays(ids, mu, pos, ea, eb, elen, emu)
+        self._init_arrays(*_record_arrays(vertices, edges))
 
     @classmethod
     def from_arrays(
@@ -182,6 +165,17 @@ class MetricMeasureGraph:
             key = lo.astype(np.int64) * ids.size + hi
             if np.unique(key).size != key.size:
                 raise InputError("duplicate undirected edge")
+        # checked last, so an input that an earlier check rejects keeps
+        # that check's message
+        for col, what in (
+            (ids, "vertex id"), (mu, "vertex mu"), (ea, "edge a"), (eb, "edge b"),
+            (elen, "edge len"), (emu, "edge mu_edge"),
+        ):
+            if col.ndim != 1:
+                raise InputError(f"{what} must be one number per record")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(mu.sum()):
+                raise InputError("vertex measures must have a finite sum")
 
         self._ids = ids
         self._mu = mu
@@ -444,21 +438,72 @@ def _distance_rows(
         yield from np.atleast_2d(G.distances_from(chunk, mask=metric, limit=limit))
 
 
+def _int_column(records: Sequence, key: str, message: str) -> np.ndarray | list:
+    """The int64 column of ``key``, or ``InputError(message)`` when a record
+    is not a mapping or its field is missing or not an int (bools
+    included).  A column past the int64 range comes back as a list, for
+    ``_record_arrays`` to reject in its turn."""
+    try:
+        col = [r.get(key) for r in records]
+    except AttributeError:
+        raise InputError(message) from None
+    if not all(issubclass(t, int) and t is not bool for t in set(map(type, col))):
+        raise InputError(message)
+    try:
+        return np.asarray(col, dtype=np.int64)
+    except OverflowError:
+        return col
+
+
+def _positions(col: list) -> np.ndarray | None:
+    """The (n, dim) positions of a ``pos`` column, None when no vertex has one."""
+    given = sum(p is not None for p in col)
+    if 0 < given < len(col):
+        raise InputError("pos must be given for all vertices or none")
+    if not given:
+        return None
+    pos = _floats(col, "vertex pos", rows=True)
+    if pos.ndim != 2:
+        raise InputError("vertex pos entries must share one dimension")
+    return pos
+
+
+def _record_arrays(
+    vertices: Sequence[Mapping],
+    edges: Sequence[Mapping],
+    ids: np.ndarray | list | None = None,
+    ea: np.ndarray | list | None = None,
+    eb: np.ndarray | list | None = None,
+) -> tuple:
+    """The seven ``_init_arrays`` columns of vertex and edge records.
+
+    Each key's column is taken once and its element types checked once.
+    ``ids``, ``ea`` and ``eb`` are passed when the caller has taken them.
+    """
+    try:
+        ids = np.asarray([v["id"] for v in vertices] if ids is None else ids, dtype=np.int64)
+        mu = _floats([v["mu"] for v in vertices], "vertex mu")
+        pos = _positions([v.get("pos") for v in vertices])
+        ea = np.asarray([e["a"] for e in edges] if ea is None else ea, dtype=np.int64)
+        eb = np.asarray([e["b"] for e in edges] if eb is None else eb, dtype=np.int64)
+        elen = _floats([e["len"] for e in edges], "edge len")
+        emu = _floats([e["mu_edge"] for e in edges], "edge mu_edge")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed vertex or edge record: {exc}") from exc
+    return ids, mu, pos, ea, eb, elen, emu
+
+
 def graph_from_dict(data: Mapping) -> MetricMeasureGraph:
+    """Graph of a parsed graph JSON object; ids and endpoints must be ints."""
     if not isinstance(data, Mapping) or "vertices" not in data or "edges" not in data:
         raise InputError("graph JSON must have 'vertices' and 'edges'")
     vertices, edges = data["vertices"], data["edges"]
     if not isinstance(vertices, (list, tuple)) or not isinstance(edges, (list, tuple)):
         raise InputError("graph JSON 'vertices' and 'edges' must be lists")
-    for v in vertices:
-        vid = v.get("id") if isinstance(v, Mapping) else None
-        if not isinstance(vid, int) or isinstance(vid, bool):
-            raise InputError("vertex id must be an integer")
-    for e in edges:
-        ends = (e.get("a"), e.get("b")) if isinstance(e, Mapping) else (None, None)
-        if any(not isinstance(x, int) or isinstance(x, bool) for x in ends):
-            raise InputError("edge endpoints must be integer vertex ids")
-    return MetricMeasureGraph(vertices, edges)
+    ids = _int_column(vertices, "id", "vertex id must be an integer")
+    ends = "edge endpoints must be integer vertex ids"
+    ea, eb = _int_column(edges, "a", ends), _int_column(edges, "b", ends)
+    return MetricMeasureGraph.from_arrays(*_record_arrays(vertices, edges, ids, ea, eb))
 
 
 def load_graph(path: str | os.PathLike) -> MetricMeasureGraph:
@@ -471,10 +516,59 @@ def load_graph(path: str | os.PathLike) -> MetricMeasureGraph:
     return graph_from_dict(data)
 
 
-def save_graph(G: MetricMeasureGraph, path: str | os.PathLike) -> None:
-    from .util import dump_json
+#: Records per ``%`` template in ``save_graph``: a few hundred kB of text
+#: per write, whatever the graph's size.
+_WRITE_BLOCK = 4096
 
-    dump_json(G.to_dict(), path)
+_EDGE_RECORD = (
+    '    {\n      "a": %d,\n      "b": %d,\n      "len": %r,\n      "mu_edge": %r\n    }'
+)
+
+
+def _vertex_record(dim: int | None) -> str:
+    """Template of one vertex record with ``dim`` positions (None: no pos)."""
+    if dim is None:
+        return '    {\n      "id": %d,\n      "mu": %r\n    }'
+    pos = "[\n" + ",\n".join(["        %r"] * dim) + "\n      ]" if dim else "[]"
+    return '    {\n      "id": %d,\n      "mu": %r,\n      "pos": ' + pos + "\n    }"
+
+
+def _write_list(fh, record: str, columns: Sequence[np.ndarray]) -> None:
+    """Write a JSON list of records, one ``record % row`` per row of the
+    columns, at most ``_WRITE_BLOCK`` records per template and write."""
+    n = len(columns[0])
+    if n == 0:
+        fh.write("[]")
+        return
+    fh.write("[\n")
+    for start in range(0, n, _WRITE_BLOCK):
+        rows = zip(*(c[start:start + _WRITE_BLOCK].tolist() for c in columns))
+        values = tuple(itertools.chain.from_iterable(rows))
+        if start:
+            fh.write(",\n")
+        fh.write(",\n".join([record] * min(_WRITE_BLOCK, n - start)) % values)
+    fh.write("\n  ]")
+
+
+def save_graph(G: MetricMeasureGraph, path: str | os.PathLike) -> None:
+    """Write ``G`` in its graph JSON file form, straight from its arrays.
+
+    The bytes are those of ``util.dump_json(G.to_dict(), path)``: two-space
+    indent, sorted keys, floats as ``repr``, vertices by ascending id and
+    edges in ``G``'s order, and a final newline.
+    """
+    ids = G._ids
+    pos = G._pos
+    vertex_cols = [ids, G._mu] + ([] if pos is None else list(pos.T))
+    record = _vertex_record(None if pos is None else pos.shape[1])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n  "edges": ')
+        _write_list(
+            fh, _EDGE_RECORD, [ids[G._edge_ia], ids[G._edge_ib], G._edge_len, G._edge_mu]
+        )
+        fh.write(',\n  "vertices": ')
+        _write_list(fh, record, vertex_cols)
+        fh.write("\n}\n")
 
 
 # -- shortest paths -------------------------------------------------------

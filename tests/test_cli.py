@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,6 +412,7 @@ class TestErrorPaths:
                     "edges": [{"a": 0, "b": 1, "len": 1.0, "mu_edge": True}],
                 },
             ),
+            ("audit", {"vertices": [{"id": 0, "mu": 1e308}, {"id": 1, "mu": 1e308}], "edges": []}),
         ],
         ids=[
             "collapsed-no-e", "collapsed-no-box", "collapsed-bad-e", "h-string",
@@ -417,7 +420,7 @@ class TestErrorPaths:
             "carpet-level-string", "carpet-level-float", "carpet-level-bool",
             "vertex-id-bool", "vertex-not-object", "vertices-not-list",
             "edge-end-bool", "mu-string", "pos-string", "len-string",
-            "mu-edge-bool",
+            "mu-edge-bool", "mu-sum-overflow",
         ],
     )
     def test_malformed_input_exits_2_with_one_line(
@@ -435,6 +438,28 @@ class TestErrorPaths:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+
+    @pytest.mark.parametrize(
+        "part, key, value",
+        [
+            ("edges", "len", [1.0]),
+            ("edges", "mu_edge", [0.0]),
+            ("vertices", "mu", [1.0]),
+            ("vertices", "mu", [[1.0]]),
+        ],
+    )
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_list_on_every_record_exits_2_with_one_line(
+        self, n, part, key, value, tmp_path, capsys
+    ):
+        data = path_graph(n).to_dict()
+        for record in data[part]:
+            record[key] = value
+        graph = tmp_path / "bad.json"
+        graph.write_text(json.dumps(data))
+        assert run("audit", "--graph", graph) == 2
+        what = {"edges": "edge", "vertices": "vertex"}[part]
+        assert capsys.readouterr().err == f"error: {what} {key} must be one number per record\n"
 
     def test_id_beyond_int64_exits_2_with_one_line(self, tmp_path, capsys):
         graph = tmp_path / "big.json"
@@ -471,6 +496,54 @@ class TestErrorPaths:
         assert [line for line in err.splitlines() if "error:" in line] == [
             "mmgraph qc: error: argument --R: invalid float value: 'abc'"
         ]
+
+
+FORMATS = Path(__file__).resolve().parents[1] / "FORMATS.md"
+
+#: One valid spec per mesh kind; ``test_every_documented_kind_and_mode_builds``
+#: also sets each enumerated option the FORMATS.md table lists.
+KIND_SPECS = {
+    "grid": {"kind": "grid", "h": 0.25, "rect": [0, 0, 1, 1]},
+    "cusp": {"kind": "cusp", "h": 0.25, "psi": "exp"},
+    "collapsed": {"kind": "collapsed", "h": 0.25, "e": [[0.5, 0.5]], "box": [0, 0, 1, 1]},
+    "multi_collapse": {
+        "kind": "multi_collapse", "h": 0.25, "e_list": [[[0.25, 0.25]], [[0.75, 0.75]]],
+        "box": [0, 0, 1, 1],
+    },
+    "simplicial": {
+        "kind": "simplicial", "h": 0.5, "points": [[0, 0, 0], [1, 0, 0], [0, 1, 1]],
+        "segments": [[0, 1]], "triangles": [[0, 1, 2]], "atoms": [[2, 0.5]],
+    },
+    "carpet": {"kind": "carpet", "level": 1},
+}
+
+
+def _documented_specs():
+    """(id, spec) for each kind row of the FORMATS.md mesh spec table and
+    each quoted option of its fields (``name: "x" \\| "y"``)."""
+    section = FORMATS.read_text().split("## Mesh spec JSON")[1].split("\n## ")[0]
+    out = []
+    for kind, fields in re.findall(r"^\| `(\w+)` +\|(.*)\|$", section, re.M):
+        base = KIND_SPECS.get(kind, {"kind": kind})
+        out.append((kind, base))
+        for span in re.findall(r"`(\w+: \"[^`]*)`", fields):
+            name = span.split(":")[0]
+            out += [(f"{kind}-{name}-{v}", dict(base, **{name: v}))
+                    for v in re.findall(r'"(\w+)"', span)]
+    return out
+
+
+class TestDocumentedMeshSpecs:
+    def test_table_lists_every_kind(self):
+        assert {k for k, _ in _documented_specs() if "-" not in k} == set(KIND_SPECS)
+
+    @pytest.mark.parametrize(
+        "spec", [s for _, s in _documented_specs()], ids=[i for i, _ in _documented_specs()]
+    )
+    def test_every_documented_kind_and_mode_builds(self, spec, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        assert run("gen", "--spec", json.dumps(spec), "--out", out) == 0, capsys.readouterr().err
+        assert run("audit", "--graph", out, "--report", tmp_path / "a.json") == 0
 
 
 class TestCsvReaders:
@@ -552,9 +625,20 @@ def mutated_graphs(draw):
         ],
     }
     for _ in range(draw(st.integers(0, 3))):
-        part = draw(st.sampled_from(["vertices", "edges", "top"]))
+        part = draw(st.sampled_from(["vertices", "edges", "top", "every"]))
         if part == "top":
             data[draw(st.sampled_from(["vertices", "edges"]))] = draw(_junk())
+            continue
+        if part == "every":
+            # one value on every record: a list gives a 2-D column, not
+            # the ragged one a single-record mutation gives
+            items = data[draw(st.sampled_from(["vertices", "edges"]))]
+            key = draw(st.sampled_from(["id", "mu", "pos", "a", "b", "len", "mu_edge"]))
+            value = draw(_junk())
+            if isinstance(items, list):
+                for i, record in enumerate(items):
+                    if isinstance(record, dict):
+                        items[i] = dict(record, **{key: value})
             continue
         items = data[part]
         if not isinstance(items, list) or not items:

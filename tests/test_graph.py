@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmgraph import (
     InputError,
@@ -16,6 +18,7 @@ from mmgraph import (
     save_graph,
     shortest_path,
 )
+from mmgraph.util import dump_json
 
 from conftest import brute_force_distance, make_graph, path_graph, random_geometric_graph
 
@@ -110,6 +113,92 @@ class TestSerialization:
             graph_from_dict(
                 {"vertices": [{"id": 0, "mu": 1}], "edges": [{"a": 0, "b": 0}]}
             )
+
+    @pytest.mark.parametrize(
+        "part, key, value",
+        [
+            ("edges", "len", [1.0]),
+            ("edges", "mu_edge", [0.0]),
+            ("vertices", "mu", [1.0]),
+            ("vertices", "mu", [[1.0]]),
+        ],
+    )
+    def test_numeric_field_must_be_one_number(self, part, key, value):
+        """A list on every record makes a 2-D column, not a ragged one."""
+        data = path_graph(3).to_dict()
+        for record in data[part]:
+            record[key] = value
+        with pytest.raises(InputError, match=f"{key} must be one number per record"):
+            graph_from_dict(data)
+
+    def test_measure_sum_must_be_finite(self):
+        """Each measure is finite, their total overflows."""
+        with pytest.raises(InputError, match="finite sum"):
+            make_graph([(0, 1e308), (1, 1e308)], [])
+
+    def test_from_arrays_rejects_2d_columns(self):
+        with pytest.raises(InputError, match="vertex mu must be one number"):
+            MetricMeasureGraph.from_arrays(
+                [0, 1], [[1.0], [1.0]], None, [0], [1], [1.0], [1.0]
+            )
+
+
+#: Positive floats at the ends of the range, and any up to 1e300 (so a
+#: few measures have a finite sum).
+POSITIVE = st.sampled_from([5e-324, 1e-300, 1e300, 0.1, 1.0]) | st.floats(
+    min_value=5e-324, max_value=1e300
+)
+MEASURES = st.sampled_from([-0.0, 0.0]) | POSITIVE
+COORDS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def graphs(draw):
+    """Small graphs with sparse ids up to 2**63 - 1, any pos dimension or
+    none, and extreme floats; possibly no vertices or no edges."""
+    ids = draw(st.lists(st.integers(0, 2**63 - 1), max_size=6, unique=True))
+    n = len(ids)
+    dim = draw(st.sampled_from([None, 0, 1, 2, 3]))
+    pos = None
+    if dim is not None:
+        pos = np.asarray(
+            draw(st.lists(st.lists(COORDS, min_size=dim, max_size=dim), min_size=n, max_size=n)),
+            dtype=np.float64,
+        ).reshape(n, dim)
+    pairs = []
+    if n >= 2:
+        pairs = draw(st.lists(
+            st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True),
+            unique_by=frozenset, max_size=8,
+        ))
+    return MetricMeasureGraph.from_arrays(
+        ids,
+        draw(st.lists(MEASURES, min_size=n, max_size=n)),
+        pos,
+        [a for a, _ in pairs],
+        [b for _, b in pairs],
+        draw(st.lists(POSITIVE, min_size=len(pairs), max_size=len(pairs))),
+        draw(st.lists(MEASURES, min_size=len(pairs), max_size=len(pairs))),
+    )
+
+
+class TestGraphFile:
+    @settings(max_examples=150, deadline=None)
+    @given(G=graphs())
+    def test_save_graph_writes_the_dump_json_bytes(self, G, tmp_path_factory):
+        """``dump_json(G.to_dict())`` is the oracle for the file's bytes."""
+        d = tmp_path_factory.mktemp("graph")
+        save_graph(G, d / "new.json")
+        dump_json(G.to_dict(), d / "old.json")
+        assert (d / "new.json").read_bytes() == (d / "old.json").read_bytes()
+        assert load_graph(d / "new.json").to_dict() == G.to_dict()
+
+    @pytest.mark.parametrize("edges", [0, 1, 4095, 4096, 4097, 8193])
+    def test_block_boundaries(self, edges, tmp_path):
+        G = path_graph(edges + 1, edge_len=0.1)
+        save_graph(G, tmp_path / "new.json")
+        dump_json(G.to_dict(), tmp_path / "old.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
 
 class TestShortestPath:
