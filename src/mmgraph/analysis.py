@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import Ball, Metric, MetricMeasureGraph, _distance_rows
+from .graph import Ball, Metric, MetricMeasureGraph, _distance_blocks, _distance_rows
 from .util import InputError, LENGTH_TOL
 
 #: Scalar and gradient fields are plain mappings vertex id -> value.
@@ -236,20 +236,60 @@ def essential_distance(G: MetricMeasureGraph, x: int, y: int) -> float:
 # -- quasiconvexity --------------------------------------------------------
 
 
-def _ambient_rows(G, ambient, source_idx: np.ndarray) -> np.ndarray:
+def _ambient_block(G, ambient, src: np.ndarray, tgt: np.ndarray, scanned: np.ndarray):
+    """Ambient distances from the sources ``src`` (a column of vertex
+    indices) to ``tgt`` (one row of targets, or a row per source), read
+    only where ``scanned``.  A callable is evaluated at those pairs alone."""
     if ambient == "euclidean":
         if G.pos is None:
             raise InputError("euclidean ambient needs vertex positions")
-        diff = G.pos[source_idx][:, None, :] - G.pos[None, :, :]
-        return np.sqrt(np.sum(diff * diff, axis=2))
+        # summed per coordinate in order: the floats of a sum over the
+        # last axis of the squared differences
+        total = np.zeros(scanned.shape)
+        for ps, pt in zip(G.pos[src[:, 0]].T, G.pos.T):
+            diff = ps[:, None] - pt[tgt]
+            total += np.square(diff, out=diff)
+        return np.sqrt(total, out=total)
     if callable(ambient):
         ids = G.vertex_ids
-        out = np.empty((source_idx.size, ids.size))
-        for r, si in enumerate(source_idx):
-            for c, vid in enumerate(ids):
-                out[r, c] = ambient(int(ids[si]), int(vid))
+        r, c = np.nonzero(scanned)
+        a = ids[src[r, 0]].tolist()
+        b = ids[np.broadcast_to(tgt, scanned.shape)[r, c]].tolist()
+        out = np.full(scanned.shape, math.nan)
+        out[r, c] = np.fromiter(map(ambient, a, b), float, count=r.size)
         return out
     raise InputError(f"unknown ambient {ambient!r}")
+
+
+def _worst_pairs(G, ambient, R, chunk, tgt, scanned, chosen):
+    """The number of pairs within ambient radius R that ``scanned`` marks
+    among the sources ``chunk`` and ``tgt`` (a row of targets, or a row
+    per source), and the worst pair of each source that has one, the
+    first on a tie.  ``chosen`` holds the chosen metric's distances of
+    the same pairs."""
+    ids = G.vertex_ids
+    targets = np.broadcast_to(tgt, scanned.shape)
+    amb = _ambient_block(G, ambient, chunk[:, None], tgt, scanned)
+    bad = scanned & ~(amb > 0)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        value = float(amb[r, c])
+        raise InputError(
+            f"ambient distance {'0' if value == 0 else repr(value)} between "
+            f"distinct vertices {int(ids[chunk[r]])} and {int(ids[targets[r, c]])}"
+        )
+    within = scanned & (amb < R)
+    ratio = np.full(amb.shape, -math.inf)
+    np.divide(chosen, amb, out=ratio, where=within)
+    counts = np.count_nonzero(within, axis=1)
+    hit = np.flatnonzero(counts)
+    k = ratio[hit].argmax(axis=1)
+    worst = map(
+        QCRow,
+        ids[chunk[hit]].tolist(), ids[targets[hit, k]].tolist(), amb[hit, k].tolist(),
+        chosen[hit, k].tolist(), ratio[hit, k].tolist(),
+    )
+    return int(counts.sum()), list(worst)
 
 
 def quasiconvexity_constant(
@@ -265,8 +305,10 @@ def quasiconvexity_constant(
 
     Exhaustive over all pairs up to ``exhaustive_limit`` vertices; beyond
     that a seeded sample of ``max_pairs`` pairs is scanned and the result
-    is a lower bound.  Distinct vertices at ambient distance zero are an
-    input error (the ambient must be a metric).
+    is a lower bound.  Distinct vertices at an ambient distance that is
+    not positive (zero, negative or NaN) are an input error: the ambient
+    must be a metric.  A callable ambient is evaluated once per scanned
+    pair.
     """
     n = G.n_vertices
     if n == 0:
@@ -274,56 +316,36 @@ def quasiconvexity_constant(
     metric = G._metric(metric_choice)  # a predicate is evaluated once
     if not (R > 0):
         raise InputError("R must be positive")
-    ids = G.vertex_ids
-
-    def worst_from(i: int, cols: np.ndarray, dist: np.ndarray):
-        """Pairs scanned from vertex index ``i`` to ``cols`` and the worst row;
-        ``dist`` is the chosen metric's distance row of ``i``."""
-        amb = _ambient_rows(G, ambient, np.asarray([i]))[0][cols]
-        zero_amb = amb <= 0
-        if np.any(zero_amb):
-            j = cols[np.nonzero(zero_amb)[0][0]]
-            raise InputError(
-                f"ambient distance 0 between distinct vertices "
-                f"{int(ids[i])} and {int(ids[j])}"
-            )
-        within = amb < R
-        cols, amb = cols[within], amb[within]
-        if cols.size == 0:
-            return 0, None
-        dist = dist[cols]
-        k = int(np.argmax(dist / amb))
-        row = QCRow(
-            source=int(ids[i]), target=int(ids[cols[k]]),
-            ambient=float(amb[k]), chosen=float(dist[k]),
-            ratio=float(dist[k] / amb[k]),
-        )
-        return cols.size, row
+    if not (max_pairs >= 1):
+        raise InputError("max_pairs must be a positive integer")
 
     exhaustive = n <= exhaustive_limit
     if exhaustive:
         src = np.arange(n - 1)
-        targets = (np.arange(i + 1, n) for i in src)
     else:
         rng = np.random.default_rng(seed)
         n_src = min(n, max(1, int(math.isqrt(max_pairs) * 2)))
         per_src = max(1, max_pairs // n_src)
         src = np.sort(rng.choice(n, size=n_src, replace=False))
-
-        def sampled(i: int, child: np.random.Generator) -> np.ndarray:
-            tgt = child.integers(0, n, size=per_src)
-            return tgt[tgt != i]
-
-        targets = map(sampled, src, rng.spawn(n_src))
+        children = iter(rng.spawn(n_src))
 
     best = 1.0
     worst: tuple[int, int] | None = None
     samples = 0
     rows: list[QCRow] = []
-    for i, cols, dist in zip(src, targets, _distance_rows(G, src, metric)):
-        cnt, row = worst_from(int(i), cols, dist)
-        samples += cnt
-        if row is not None:
+    for chunk, dist in _distance_blocks(G, src, metric):
+        # one block per kernel call: a row per source, a column per target
+        if exhaustive:
+            tgt = np.arange(chunk[0] + 1, n)[None, :]
+            scanned = tgt > chunk[:, None]
+            chosen = dist[:, chunk[0] + 1:]
+        else:
+            tgt = np.stack([next(children).integers(0, n, size=per_src) for _ in chunk])
+            scanned = tgt != chunk[:, None]
+            chosen = np.take_along_axis(dist, tgt, axis=1)
+        count, worst_rows = _worst_pairs(G, ambient, R, chunk, tgt, scanned, chosen)
+        samples += count
+        for row in worst_rows:
             rows.append(row)
             if row.ratio > best:
                 best, worst = row.ratio, (row.source, row.target)

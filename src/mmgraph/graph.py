@@ -416,13 +416,14 @@ def _chunk_sources(n: int) -> int:
     return max(1, _CHUNK_ENTRIES // max(n, 1))
 
 
-def _distance_rows(
+def _distance_blocks(
     G: MetricMeasureGraph,
     source_idx: Sequence[int],
     metric: Metric = None,
     limit: float = np.inf,
-) -> Iterator[np.ndarray]:
-    """The distance row (by vertex index) of each source index, in order.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(sources, rows)`` per kernel call: a run of the source indices, in
+    order, and their distance rows (by vertex index), one per source.
 
     Sources go to ``distances_from`` in chunks of ``_chunk_sources(n)``,
     so a scan over all n vertices makes ceil(n / _chunk_sources(n))
@@ -434,8 +435,21 @@ def _distance_rows(
     ids = G.vertex_ids
     source_idx = np.asarray(source_idx, dtype=np.int64)
     for start in range(0, source_idx.size, step):
-        chunk = ids[source_idx[start:start + step]].tolist()
-        yield from np.atleast_2d(G.distances_from(chunk, mask=metric, limit=limit))
+        chunk = source_idx[start:start + step]
+        rows = G.distances_from(ids[chunk].tolist(), mask=metric, limit=limit)
+        yield chunk, np.atleast_2d(rows)
+
+
+def _distance_rows(
+    G: MetricMeasureGraph,
+    source_idx: Sequence[int],
+    metric: Metric = None,
+    limit: float = np.inf,
+) -> Iterator[np.ndarray]:
+    """The distance row (by vertex index) of each source index, in order,
+    from the kernel calls of ``_distance_blocks``."""
+    for _, rows in _distance_blocks(G, source_idx, metric, limit):
+        yield from rows
 
 
 def _int_column(records: Sequence, key: str, message: str) -> np.ndarray | list:
@@ -582,50 +596,75 @@ def shortest_path(
 ) -> PathResult:
     """Exact shortest path between two vertices.
 
-    Dijkstra over nonnegative edge lengths.  Among equal-distance frontier
-    vertices the smallest vertex id settles first, and predecessors change
-    only on strict improvement, so equal-length geodesics resolve to the
-    one through the smaller-id neighbor.
+    One ``distances_from`` search from ``x`` gives every distance ``d``,
+    and the path is read back from ``y``.  Among equal-length geodesics
+    the one returned is the one whose predecessors, read back from ``y``,
+    have the smallest (distance, id) keys.  Precisely, every vertex ``w``
+    takes, of its tight neighbours ``v`` (``d[v] + len == d[w]`` in
+    floats) that come before it in the settle order, the first.  The order
+    is by (distance, id), except inside a set of equal-distance vertices
+    joined by edges that vanish in rounding (``d + len == d``, say a
+    1e-300 edge among unit edges): there the smallest id among the
+    members reached so far comes next, where a member is reached by a
+    tight edge from a smaller distance or by a vanishing edge from a
+    member that came before.
     """
     xi, yi = G.index_of(x), G.index_of(y)
     if xi == yi:
         return PathResult(0.0, (int(x),))
-    return _heap_dijkstra_pair(G._csr(edge_filter), G.vertex_ids, xi, yi)
+    metric = G._metric(edge_filter)
+    d = G.distances_from([x], mask=metric, min_only=True)
+    if d[yi] == math.inf:
+        return PathResult(math.inf, ())
+    seq = _read_back(G._csr(metric), d, xi, yi)
+    return PathResult(float(d[yi]), tuple(G.vertex_ids[seq].tolist()))
 
 
-# This search stays next to scipy on purpose: the tie-break above is defined
-# by the order in which vertices settle.  Backtracking a scipy distance
-# array along tight edges (smallest (dist, id) predecessor) reproduces it on
-# ordinary inputs, but finds no predecessor when an edge vanishes in
-# rounding, fl(d + len) == d (say a 1e-300 edge among length-1 edges).
-def _heap_dijkstra_pair(csr, ids, xi, yi) -> PathResult:
-    # plain lists: indexing a numpy array yields a boxed scalar per edge
-    indptr, heads, lens = csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist()
-    ids = ids.tolist()
-    dist = {xi: 0.0}
-    pred: dict[int, int] = {}
-    done: set[int] = set()
-    heap: list[tuple[float, int, int]] = [(0.0, ids[xi], xi)]
-    while heap:
-        d, _, vi = heapq.heappop(heap)
-        if vi in done:
-            continue
-        done.add(vi)
-        if vi == yi:
-            seq = [yi]
-            while seq[-1] != xi:
-                seq.append(pred[seq[-1]])
-            return PathResult(d, tuple(ids[i] for i in reversed(seq)))
-        for p in range(indptr[vi], indptr[vi + 1]):
-            wi = heads[p]
-            if wi in done:
-                continue
-            nd = d + lens[p]
-            if nd < dist.get(wi, math.inf):
-                dist[wi] = nd
-                pred[wi] = vi
-                heapq.heappush(heap, (nd, ids[wi], wi))
-    return PathResult(math.inf, ())
+def _read_back(csr, d: np.ndarray, xi: int, yi: int) -> list[int]:
+    """The vertex indices of the path ``shortest_path`` picks from ``xi``
+    to ``yi``, given the distances ``d`` from ``xi``.  Vertex indices are
+    in id order, so an index order is an id order."""
+    n, reach = d.size, d[yi]
+    v = np.repeat(np.arange(n), np.diff(csr.indptr))
+    w, dv = csr.indices, d[v]
+    dw = d[w]
+    with np.errstate(over="ignore"):  # a sum past the float range is not tight
+        tight = (dw <= reach) & (dv + csr.data == dw)
+    v, w, vanish = v[tight], w[tight], dv[tight] == dw[tight]
+    near = np.flatnonzero(d <= reach)
+    order = near[np.argsort(d[near], kind="stable")]
+    if vanish.any():
+        _replay_vanishing(order, d, v, w, vanish)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    before = rank[v] < rank[w]
+    # the settle rank of each vertex's predecessor (order.size: none)
+    first = np.full(n, order.size)
+    np.minimum.at(first, w[before], rank[v[before]])
+    seq = [yi]
+    while seq[-1] != xi:
+        seq.append(int(order[first[seq[-1]]]))
+    return seq[::-1]
+
+
+def _replay_vanishing(order, d, v, w, vanish) -> None:
+    """Reorder, in place, each equal-distance run of ``order`` that tight
+    vanishing edges ``v[k] - w[k]`` join: the smallest index among the
+    members reached so far comes next."""
+    dorder = d[order]
+    links: dict[int, list[int]] = {}
+    for a, b in zip(v[vanish].tolist(), w[vanish].tolist()):
+        links.setdefault(a, []).append(b)
+    for level in np.unique(d[w[vanish]]):
+        lo, hi = np.searchsorted(dorder, level, "left"), np.searchsorted(dorder, level, "right")
+        heap = np.unique(w[~vanish & (d[w] == level)]).tolist()
+        seen = set(heap)
+        for k in range(lo, hi):
+            order[k] = a = heapq.heappop(heap)
+            for b in links.get(a, ()):
+                if b not in seen:
+                    seen.add(b)
+                    heapq.heappush(heap, b)
 
 
 def ball(

@@ -1,6 +1,7 @@
 """Metric-measure analysis: essential metric, quasiconvexity, doubling,
 Poincare constants, Hajlasz gradients."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from mmgraph import (
     doubling_ratios,
     essential_distance,
     essential_metric,
+    gen_grid,
     hajlasz_gradient_from_upper,
     lipschitz_constant,
     local_to_global_gradient,
@@ -130,6 +132,52 @@ class TestQuasiconvexity:
         G = path_graph(4)
         rep = quasiconvexity_constant(G, ambient=lambda x, y: 0.5 * abs(x - y))
         assert rep.C == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("exhaustive_limit", [2000, 1])
+    def test_callable_ambient_is_evaluated_at_scanned_pairs_only(self, exhaustive_limit):
+        G = gen_grid(0.25, (0.0, 0.0, 1.0, 1.0))
+        n = G.n_vertices
+        calls = []
+
+        def ambient(a, b):
+            calls.append((a, b))
+            return 1.0 + abs(a - b)
+
+        rep = quasiconvexity_constant(
+            G, ambient=ambient, exhaustive_limit=exhaustive_limit, max_pairs=100
+        )
+        if rep.exhaustive:
+            ids = [int(v) for v in G.vertex_ids]
+            assert calls == list(itertools.combinations(ids, 2))
+            assert rep.samples == n * (n - 1) // 2
+        else:
+            assert all(a != b for a, b in calls)
+            assert len(calls) == rep.samples <= 100
+
+    @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (-0.5, "-0.5"), (0.0, "0")])
+    @pytest.mark.parametrize("exhaustive_limit", [2000, 1])
+    def test_callable_ambient_value_not_positive_names_pair_and_value(
+        self, bad, shown, exhaustive_limit
+    ):
+        G = path_graph(6)
+
+        def ambient(a, b):
+            return bad if {a, b} == {2, 4} else float(abs(a - b))
+
+        with pytest.raises(
+            InputError, match=rf"^ambient distance {shown} between distinct vertices (2 and 4|4 and 2)$"
+        ):
+            quasiconvexity_constant(
+                G, ambient=ambient, exhaustive_limit=exhaustive_limit, max_pairs=400
+            )
+
+    @pytest.mark.parametrize("max_pairs", [0, -3])
+    @pytest.mark.parametrize("exhaustive_limit", [2000, 1])
+    def test_nonpositive_max_pairs_rejected(self, max_pairs, exhaustive_limit):
+        with pytest.raises(InputError, match="^max_pairs must be a positive integer$"):
+            quasiconvexity_constant(
+                path_graph(4), max_pairs=max_pairs, exhaustive_limit=exhaustive_limit
+            )
 
     def test_coincident_positions_rejected(self):
         G = make_graph(

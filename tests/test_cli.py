@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph, path_graph
-from mmgraph import save_graph
+from mmgraph import gen_grid, save_graph
 from mmgraph.cli import main, read_scalar_csv, read_vector_csv
 
 GRID_SPEC = '{"kind": "grid", "h": 0.25, "rect": [0, 0, 1, 1]}'
@@ -413,6 +413,9 @@ class TestErrorPaths:
                 },
             ),
             ("audit", {"vertices": [{"id": 0, "mu": 1e308}, {"id": 1, "mu": 1e308}], "edges": []}),
+            # more than 2000 vertices: the sampled scan
+            ("qc --max-pairs -3", gen_grid(0.02, (0.0, 0.0, 1.0, 1.0)).to_dict()),
+            ("qc --max-pairs 0", gen_grid(0.02, (0.0, 0.0, 1.0, 1.0)).to_dict()),
         ],
         ids=[
             "collapsed-no-e", "collapsed-no-box", "collapsed-bad-e", "h-string",
@@ -420,7 +423,8 @@ class TestErrorPaths:
             "carpet-level-string", "carpet-level-float", "carpet-level-bool",
             "vertex-id-bool", "vertex-not-object", "vertices-not-list",
             "edge-end-bool", "mu-string", "pos-string", "len-string",
-            "mu-edge-bool", "mu-sum-overflow",
+            "mu-edge-bool", "mu-sum-overflow", "qc-max-pairs-negative",
+            "qc-max-pairs-zero",
         ],
     )
     def test_malformed_input_exits_2_with_one_line(
@@ -432,7 +436,7 @@ class TestErrorPaths:
         else:
             graph = tmp_path / "bad.json"
             graph.write_text(text)
-            argv = (command, "--graph", graph)
+            argv = (*command.split(), "--graph", graph)
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")

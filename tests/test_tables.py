@@ -24,9 +24,12 @@ import mmgraph.graph as graph_mod
 from conftest import make_graph
 from mmgraph import (
     CertifyError,
+    InputError,
     MeshSpec,
     MetricMeasureGraph,
     NagataCover,
+    QCRow,
+    QuasiconvexityReport,
     ball,
     doubling_ratios,
     gen_grid,
@@ -257,6 +260,101 @@ class TestBallOracle:
         assert b.members == tuple(want)
         assert b.measure == pytest.approx(math.fsum(mu[v] for v in want), rel=1e-12, abs=0)
         assert (b.center, b.radius, b.closed) == (x, r, closed)
+
+
+def qc_oracle(G, ambient, R, metric, seed, max_pairs, exhaustive_limit):
+    """``quasiconvexity_constant`` as a loop over sources: each source's
+    ambient row, the worst pair among its targets within R, and exact
+    networkx distances for the chosen metric."""
+    n, ids = G.n_vertices, G.vertex_ids
+    d = exact_distances(G, metric)
+
+    def worst_from(i, cols):
+        if ambient == "euclidean":
+            diff = G.pos[[i]][:, None, :] - G.pos[None, :, :]
+            amb = np.sqrt(np.sum(diff * diff, axis=2))[0][cols]
+        else:
+            amb = np.array([ambient(int(ids[i]), int(ids[j])) for j in cols], dtype=float)
+        bad = ~(amb > 0)
+        if np.any(bad):
+            k = np.nonzero(bad)[0][0]
+            value = "0" if amb[k] == 0 else repr(float(amb[k]))
+            raise InputError(
+                f"ambient distance {value} between distinct vertices "
+                f"{int(ids[i])} and {int(ids[cols[k]])}"
+            )
+        within = amb < R
+        cols, amb = cols[within], amb[within]
+        if cols.size == 0:
+            return 0, None
+        dist = np.array([d(int(ids[i]), int(ids[j])) for j in cols])
+        k = int(np.argmax(dist / amb))
+        row = QCRow(int(ids[i]), int(ids[cols[k]]), float(amb[k]), float(dist[k]),
+                    float(dist[k] / amb[k]))
+        return cols.size, row
+
+    exhaustive = n <= exhaustive_limit
+    if exhaustive:
+        scans = [(i, np.arange(i + 1, n)) for i in range(n - 1)]
+    else:
+        rng = np.random.default_rng(seed)
+        n_src = min(n, max(1, int(math.isqrt(max_pairs) * 2)))
+        per_src = max(1, max_pairs // n_src)
+        src = np.sort(rng.choice(n, size=n_src, replace=False))
+        scans = []
+        for i, child in zip(src, rng.spawn(n_src)):
+            tgt = child.integers(0, n, size=per_src)
+            scans.append((int(i), tgt[tgt != i]))
+    best, worst, samples, rows = 1.0, None, 0, []
+    for i, cols in scans:
+        cnt, row = worst_from(i, cols)
+        samples += cnt
+        if row is not None:
+            rows.append(row)
+            if row.ratio > best:
+                best, worst = row.ratio, (row.source, row.target)
+    return QuasiconvexityReport(
+        C=best, R=float(R), worst_pair=worst, samples=samples, exhaustive=exhaustive,
+        metric_choice=metric, seed=None if exhaustive else seed, rows=tuple(rows),
+    )
+
+
+def outcome(scan, *args, **kwargs):
+    """A scan's report, or the message of its input error."""
+    try:
+        return scan(*args, **kwargs)
+    except InputError as exc:
+        return str(exc)
+
+
+class TestQuasiconvexityOracle:
+    @SETTINGS
+    @given(graphs(), CHUNKS, st.data())
+    def test_report_matches_the_per_source_scan(self, G, entries, data):
+        dim = data.draw(st.integers(1, 3))
+        coord = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, 1.0]))
+        pos = np.array([[data.draw(coord) for _ in range(dim)] for _ in G.vertex_ids])
+        ids = G.vertex_ids
+        G = MetricMeasureGraph.from_arrays(
+            ids, G.mu, pos, ids[G._edge_ia], ids[G._edge_ib], G.edge_lengths,
+            G.edge_measures,
+        )
+        ambient = data.draw(st.sampled_from(["euclidean", lambda a, b: abs(a - b) / 7]))
+        R = data.draw(st.one_of(st.just(math.inf), st.floats(0.1, 10.0)))
+        args = dict(
+            ambient=ambient, R=R, metric=data.draw(st.sampled_from(["graph", "essential"])),
+            seed=data.draw(st.integers(0, 3)), max_pairs=data.draw(st.integers(1, 50)),
+            exhaustive_limit=data.draw(st.sampled_from([1, 2000])),
+        )
+        want = outcome(qc_oracle, G, **args)
+        args["metric_choice"] = args.pop("metric")
+        with chunked(entries):
+            got = outcome(quasiconvexity_constant, G, **args)
+        assert got == want
+        if not isinstance(want, str):
+            assert got.rows == want.rows
+            assert got.to_csv() == want.to_csv()
+            assert repr(got) == repr(want)
 
 
 def dense_nagata(G, s, target_n=None, points=None):
