@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from typing import Mapping, Sequence
@@ -22,7 +23,13 @@ import numpy as np
 
 from . import amle as amle_mod
 from . import analysis, extension, spaces
-from .graph import lipschitz_constant, load_graph, save_graph, shortest_path
+from .graph import (
+    component_count,
+    lipschitz_constant,
+    load_graph,
+    save_graph,
+    shortest_path,
+)
 from .util import (
     SCHEMA_VERSION,
     CertifyError,
@@ -53,13 +60,25 @@ def _write_report(path: str | None, payload: dict) -> None:
     _write_text(path, buf.getvalue())
 
 
+#: Rows per ``%`` template in ``_scalar_rows``.
+_CSV_BLOCK = 4096
+
+
+def _scalar_rows(ids: Sequence[int], values: Sequence[float]) -> str:
+    """The vertex_id,value table of parallel ids and values, in their
+    order, one ``%`` template per block of at most ``_CSV_BLOCK`` rows:
+    the bytes ``csv.writer`` writes for ``[vid, repr(value)]`` rows."""
+    parts = ["vertex_id,value\n"]
+    for start in range(0, len(ids), _CSV_BLOCK):
+        block = slice(start, start + _CSV_BLOCK)
+        row = tuple(itertools.chain.from_iterable(zip(ids[block], values[block])))
+        parts.append("%d,%r\n" * (len(row) // 2) % row)
+    return "".join(parts)
+
+
 def _scalar_csv(values: Mapping[int, float]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["vertex_id", "value"])
-    for vid in sorted(values):
-        w.writerow([vid, repr(float(values[vid]))])
-    return buf.getvalue()
+    ids = sorted(values)
+    return _scalar_rows(ids, [float(values[vid]) for vid in ids])
 
 
 def _vector_csv(values: Mapping[int, tuple]) -> str:
@@ -184,8 +203,8 @@ def _dist_common(args, metric: str) -> int:
         )
         return 0
     d = G.distances_from(sources, mask=metric, min_only=True)
-    values = {int(v): float(d[G.index_of(int(v))]) for v in G.vertex_ids}
-    _write_text(args.out, _scalar_csv(values))
+    # vertex indices are in id order, so the row is already sorted by id
+    _write_text(args.out, _scalar_rows(G.vertex_ids.tolist(), d.tolist()))
     return 0
 
 
@@ -410,11 +429,7 @@ def cmd_amle(args) -> int:
 
 def cmd_audit(args) -> int:
     G = load_graph(args.graph)
-    from .graph import components
-
     neg = analysis.negligible_edges(G)
-    comps_graph = components(G)
-    comps_ess = components(G, edge_filter="positive")
     payload = {
         "command": "audit",
         "seed": args.seed,
@@ -423,8 +438,8 @@ def cmd_audit(args) -> int:
         "total_measure": G.total_measure(),
         "has_positions": G.pos is not None,
         "negligible_edge_count": len(neg.edge_indices),
-        "components_graph_metric": len(comps_graph),
-        "components_essential_metric": len(comps_ess),
+        "components_graph_metric": component_count(G),
+        "components_essential_metric": component_count(G, "positive"),
         "zero_measure_vertices": int(np.sum(G.mu <= 0)),
         "valid": True,
     }

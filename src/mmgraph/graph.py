@@ -163,7 +163,8 @@ class MetricMeasureGraph:
         hi = np.maximum(ia, ib)
         if ea.size:
             key = lo.astype(np.int64) * ids.size + hi
-            if np.unique(key).size != key.size:
+            key.sort()
+            if np.any(key[1:] == key[:-1]):
                 raise InputError("duplicate undirected edge")
         # checked last, so an input that an earlier check rejects keeps
         # that check's message
@@ -186,7 +187,7 @@ class MetricMeasureGraph:
         self._edge_mu = emu
         self._positive = emu > 0
         self._positive.flags.writeable = False
-        self._id_to_idx = {int(v): i for i, v in enumerate(ids)}
+        self._id_to_idx = dict(zip(ids.tolist(), range(ids.size)))
         self._csr_cache: dict[str, csr_matrix] = {}
 
     # -- basic accessors -------------------------------------------------
@@ -534,26 +535,53 @@ def load_graph(path: str | os.PathLike) -> MetricMeasureGraph:
 #: per write, whatever the graph's size.
 _WRITE_BLOCK = 4096
 
+#: One ``%s`` per column: ``_write_list`` fills in each column's slot.
 _EDGE_RECORD = (
-    '    {\n      "a": %d,\n      "b": %d,\n      "len": %r,\n      "mu_edge": %r\n    }'
+    '    {\n      "a": %s,\n      "b": %s,\n      "len": %s,\n      "mu_edge": %s\n    }'
 )
 
 
 def _vertex_record(dim: int | None) -> str:
-    """Template of one vertex record with ``dim`` positions (None: no pos)."""
+    """Record of one vertex with ``dim`` positions (None: no pos), one
+    ``%s`` per column."""
     if dim is None:
-        return '    {\n      "id": %d,\n      "mu": %r\n    }'
-    pos = "[\n" + ",\n".join(["        %r"] * dim) + "\n      ]" if dim else "[]"
-    return '    {\n      "id": %d,\n      "mu": %r,\n      "pos": ' + pos + "\n    }"
+        return '    {\n      "id": %s,\n      "mu": %s\n    }'
+    pos = "[\n" + ",\n".join(["        %s"] * dim) + "\n      ]" if dim else "[]"
+    return '    {\n      "id": %s,\n      "mu": %s,\n      "pos": ' + pos + "\n    }"
+
+
+def _slot(col: np.ndarray) -> tuple[np.ndarray, str]:
+    """A column as ``_write_list`` renders it, and its ``%`` slot.
+
+    Ints go to ``%d``.  A float column whose distinct bit patterns are at
+    most half its entries becomes the ``repr`` of each distinct value,
+    rendered once, in a ``%s`` slot (``str`` of a float is its ``repr``).
+    Bit patterns, not values, so ``-0.0`` and ``0.0`` stay apart.  Any
+    other float column goes to ``%r``.
+    """
+    if col.dtype.kind in "iu":
+        return col, "%d"
+    bits = col.view(np.int64)
+    sorted_bits = np.sort(bits)
+    first = np.ones(bits.size, dtype=bool)
+    np.not_equal(sorted_bits[1:], sorted_bits[:-1], out=first[1:])
+    if 2 * np.count_nonzero(first) > bits.size:
+        return col, "%r"
+    distinct = sorted_bits[first]
+    text = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+    return text[np.searchsorted(distinct, bits)], "%s"
 
 
 def _write_list(fh, record: str, columns: Sequence[np.ndarray]) -> None:
-    """Write a JSON list of records, one ``record % row`` per row of the
-    columns, at most ``_WRITE_BLOCK`` records per template and write."""
+    """Write a JSON list of records, one per row of the columns, at most
+    ``_WRITE_BLOCK`` records per ``%`` template and write.  ``record``
+    holds one ``%s`` per column, which ``_slot`` fills in."""
     n = len(columns[0])
     if n == 0:
         fh.write("[]")
         return
+    columns, slots = zip(*map(_slot, columns))
+    record = record % slots
     fh.write("[\n")
     for start in range(0, n, _WRITE_BLOCK):
         rows = zip(*(c[start:start + _WRITE_BLOCK].tolist() for c in columns))
@@ -569,7 +597,11 @@ def save_graph(G: MetricMeasureGraph, path: str | os.PathLike) -> None:
 
     The bytes are those of ``util.dump_json(G.to_dict(), path)``: two-space
     indent, sorted keys, floats as ``repr``, vertices by ascending id and
-    edges in ``G``'s order, and a final newline.
+    edges in ``G``'s order, and a final newline.  A float column (edge
+    lengths and measures, vertex measures, one position coordinate) in
+    which at most half the entries are distinct, as on a mesh, has the
+    ``repr`` of each distinct value computed once; any other column is
+    rendered entry by entry.  Either way the bytes are the same.
     """
     ids = G._ids
     pos = G._pos
@@ -616,20 +648,24 @@ def shortest_path(
     d = G.distances_from([x], mask=metric, min_only=True)
     if d[yi] == math.inf:
         return PathResult(math.inf, ())
-    seq = _read_back(G._csr(metric), d, xi, yi)
+    seq = _read_back(G, metric, d, xi, yi)
     return PathResult(float(d[yi]), tuple(G.vertex_ids[seq].tolist()))
 
 
-def _read_back(csr, d: np.ndarray, xi: int, yi: int) -> list[int]:
+def _read_back(G, metric, d: np.ndarray, xi: int, yi: int) -> list[int]:
     """The vertex indices of the path ``shortest_path`` picks from ``xi``
-    to ``yi``, given the distances ``d`` from ``xi``.  Vertex indices are
-    in id order, so an index order is an id order."""
+    to ``yi``, given the distances ``d`` from ``xi`` in the resolved
+    ``metric``.  Vertex indices are in id order, so an index order is an
+    id order.  The metric's edges come from the edge arrays, not its CSR:
+    a mask metric's CSR is not cached, and the search built it already."""
+    keep = G.edge_mask(metric)
+    ia, ib, length = G._edge_ia[keep], G._edge_ib[keep], G._edge_len[keep]
+    # both directions of every edge
+    v, w, length = np.concatenate([ia, ib]), np.concatenate([ib, ia]), np.concatenate([length] * 2)
     n, reach = d.size, d[yi]
-    v = np.repeat(np.arange(n), np.diff(csr.indptr))
-    w, dv = csr.indices, d[v]
-    dw = d[w]
+    dv, dw = d[v], d[w]
     with np.errstate(over="ignore"):  # a sum past the float range is not tight
-        tight = (dw <= reach) & (dv + csr.data == dw)
+        tight = (dw <= reach) & (dv + length == dw)
     v, w, vanish = v[tight], w[tight], dv[tight] == dw[tight]
     near = np.flatnonzero(d <= reach)
     order = near[np.argsort(d[near], kind="stable")]
@@ -701,6 +737,12 @@ def components(
     for i, lab in enumerate(labels):
         parts.setdefault(int(lab), []).append(int(G.vertex_ids[i]))
     return sorted((tuple(p) for p in parts.values()), key=lambda p: p[0])
+
+
+def component_count(G: MetricMeasureGraph, edge_filter: Metric = None) -> int:
+    """Number of connected components, 0 for the empty graph: the length of
+    ``components(G, edge_filter)`` without building its tuples."""
+    return int(_cc(G._csr(edge_filter), directed=False)[0])
 
 
 def lipschitz_constant(

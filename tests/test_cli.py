@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -14,8 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph, path_graph
-from mmgraph import gen_grid, save_graph
-from mmgraph.cli import main, read_scalar_csv, read_vector_csv
+from mmgraph import MeshSpec, components, gen_grid, save_graph
+from mmgraph.cli import _scalar_csv, main, read_scalar_csv, read_vector_csv
+from mmgraph.util import dump_json
 
 GRID_SPEC = '{"kind": "grid", "h": 0.25, "rect": [0, 0, 1, 1]}'
 
@@ -112,6 +114,101 @@ class TestGenAuditDist:
             "dist", "--graph", gp, "--source", 0, "--target", 1, "--report", rep2
         ) == 0
         assert json.loads(rep2.read_text())["distance"] == pytest.approx(1.0)
+
+
+def csv_writer_scalar_csv(values):
+    """The scalar table as ``csv.writer`` writes it: the oracle for the
+    template-rendered ``cli._scalar_csv``."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["vertex_id", "value"])
+    for vid in sorted(values):
+        w.writerow([vid, repr(float(values[vid]))])
+    return buf.getvalue()
+
+
+def lines(text):
+    """Rows with their line ends: equal exactly when the texts are, and a
+    failure reports the first differing row instead of diffing long texts."""
+    return text.splitlines(keepends=True)
+
+
+FLOATS = st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300]) | st.floats()
+
+
+class TestScalarTables:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.dictionaries(st.integers(-(2**63), 2**63 - 1), FLOATS, max_size=30))
+    def test_scalar_csv_writes_the_csv_writer_bytes(self, values):
+        assert _scalar_csv(values) == csv_writer_scalar_csv(values)
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+    def test_block_boundaries(self, n):
+        values = {3 * k - 7: k / 3 for k in range(n)}
+        assert lines(_scalar_csv(values)) == lines(csv_writer_scalar_csv(values))
+
+    def test_dist_and_essdist_out_on_a_disconnected_graph(self, tmp_path):
+        """A path longer than one block, a negligible edge in it and two
+        isolated vertices: rows of ``inf`` in both metrics."""
+        n = 4200
+        G = make_graph(
+            [(k, 1.0) for k in range(n + 2)],
+            [(k, k + 1, 0.5, 0.0 if k == 3000 else 1.0) for k in range(n - 1)],
+        )
+        gp = tmp_path / "g.json"
+        save_graph(G, gp)
+        for command, metric in (("dist", "graph"), ("essdist", "essential")):
+            out = tmp_path / f"{command}.csv"
+            assert run(command, "--graph", gp, "--source", "2,10", "--out", out) == 0
+            d = G.distances_from([2, 10], mask=metric, min_only=True)
+            want = csv_writer_scalar_csv(dict(zip(G.vertex_ids.tolist(), d.tolist())))
+            assert lines(out.read_text()) == lines(want)
+            assert f"{n + 1},inf\n" in want
+        assert "3500,inf\n" in (tmp_path / "essdist.csv").read_text()
+
+    def test_extend_and_amle_out(self, grid_path, tmp_path):
+        bd = tmp_path / "bd.csv"
+        write_csv(bd, [(0, 0.0), (4, 1.0), (20, -0.5), (24, 2.0), (12, 0.25)])
+        for argv in (
+            ("extend", "--truncate"),
+            ("extend",),
+            ("amle", "--whole-boundary", "--tol", "1e-12"),
+        ):
+            out = tmp_path / "out.csv"
+            assert run(*argv, "--graph", grid_path, "--boundary", bd, "--out", out) == 0
+            text = out.read_text()
+            assert len(text.splitlines()) == 26
+            assert text == csv_writer_scalar_csv(read_scalar_csv(out))
+
+
+class TestAuditComponentCounts:
+    def audit(self, G, tmp_path):
+        gp, rep = tmp_path / "g.json", tmp_path / "a.json"
+        save_graph(G, gp)
+        assert run("audit", "--graph", gp, "--report", rep) == 0
+        payload = json.loads(rep.read_text())
+        return payload["components_graph_metric"], payload["components_essential_metric"]
+
+    def counts(self, G):
+        return len(components(G)), len(components(G, edge_filter="positive"))
+
+    def test_empty_graph(self, tmp_path):
+        G = make_graph([], [])
+        assert self.audit(G, tmp_path) == self.counts(G) == (0, 0)
+
+    def test_isolated_vertices(self, tmp_path):
+        G = make_graph([(k, 1.0) for k in (3, 8, 9, 40)], [(8, 9, 1.0, 0.0)])
+        assert self.audit(G, tmp_path) == self.counts(G) == (3, 4)
+
+    def test_wall_of_negligible_edges_splits_the_essential_metric(self, tmp_path):
+        G = gen_grid(1 / 8, rect=(0, 0, 1, 1))
+        x = dict(zip(G.vertex_ids.tolist(), G.pos[:, 0].tolist()))
+        crosses = lambda e: min(x[e.a], x[e.b]) < 0.45 < max(x[e.a], x[e.b])
+        W = make_graph(
+            [(int(v), float(m)) for v, m in zip(G.vertex_ids, G.mu)],
+            [(e.a, e.b, e.length, 0.0 if crosses(e) else 1.0) for e in G.edges()],
+        )
+        assert self.audit(W, tmp_path) == self.counts(W) == (1, 2)
 
 
 class TestAnalysisCommands:
@@ -548,6 +645,23 @@ class TestDocumentedMeshSpecs:
         out = tmp_path / "g.json"
         assert run("gen", "--spec", json.dumps(spec), "--out", out) == 0, capsys.readouterr().err
         assert run("audit", "--graph", out, "--report", tmp_path / "a.json") == 0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [s for _, s in _documented_specs()] + [
+            {"kind": "grid", "h": 0.25, "disc": [0.5, 0.5, 0.5]},
+            {"kind": "cusp", "h": 0.25, "psi_samples": [[0.5, 0.25], [1, 1]]},
+        ],
+        ids=[i for i, _ in _documented_specs()] + ["grid-disc", "cusp-psi_samples"],
+    )
+    def test_gen_writes_the_dump_json_bytes(self, spec, tmp_path, capsys):
+        """A finer mesh of each kind, whose columns repeat: ``save_graph``
+        renders them once per distinct value, ``dump_json`` per entry."""
+        spec = dict(spec, **({"h": spec["h"] / 4} if "h" in spec else {"level": 3}))
+        out = tmp_path / "g.json"
+        assert run("gen", "--spec", json.dumps(spec), "--out", out) == 0, capsys.readouterr().err
+        dump_json(MeshSpec.from_dict(spec).build().to_dict(), tmp_path / "old.json")
+        assert out.read_bytes() == (tmp_path / "old.json").read_bytes()
 
 
 class TestCsvReaders:

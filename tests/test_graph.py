@@ -18,6 +18,7 @@ from mmgraph import (
     save_graph,
     shortest_path,
 )
+from mmgraph.graph import _slot
 from mmgraph.util import dump_json
 
 from conftest import brute_force_distance, make_graph, path_graph, random_geometric_graph
@@ -59,6 +60,31 @@ class TestValidation:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(InputError):
             make_graph([(0, 1.0), (1, 1.0)], [(0, 1, 1.0), (1, 0, 2.0)])
+
+    @pytest.mark.parametrize("second", [(0, 1), (1, 0)], ids=["same", "reversed"])
+    def test_duplicate_edge_message(self, second):
+        with pytest.raises(InputError, match="^duplicate undirected edge$"):
+            make_graph([(0, 1.0), (1, 1.0), (2, 1.0)], [(0, 1, 1.0), (1, 2, 1.0), (*second, 2.0)])
+
+    def test_duplicate_edge_far_apart_in_a_long_list(self):
+        """Two copies 9000 records apart among 10,000 edges."""
+        n = 10_001
+        a, b = np.arange(n - 1), np.arange(1, n)
+        a[9_500], b[9_500] = b[500], a[500]  # edge 500 again, reversed
+        assert a.size == 10_000
+        with pytest.raises(InputError, match="^duplicate undirected edge$"):
+            MetricMeasureGraph.from_arrays(
+                np.arange(n), np.ones(n), None, a, b, np.ones(n - 1), np.ones(n - 1)
+            )
+
+    def test_loop_and_unknown_endpoint_keep_their_messages(self):
+        """Both are checked before duplicates, so an input with a duplicate
+        edge too still gets their message."""
+        vertices = [(0, 1.0), (1, 1.0)]
+        with pytest.raises(InputError, match="loop edges"):
+            make_graph(vertices, [(0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)])
+        with pytest.raises(InputError, match="unknown vertex id"):
+            make_graph(vertices, [(0, 1, 1.0), (1, 0, 1.0), (1, 7, 1.0)])
 
     def test_partial_positions_rejected(self):
         with pytest.raises(InputError):
@@ -193,12 +219,50 @@ class TestGraphFile:
         assert (d / "new.json").read_bytes() == (d / "old.json").read_bytes()
         assert load_graph(d / "new.json").to_dict() == G.to_dict()
 
-    @pytest.mark.parametrize("edges", [0, 1, 4095, 4096, 4097, 8193])
-    def test_block_boundaries(self, edges, tmp_path):
-        G = path_graph(edges + 1, edge_len=0.1)
+    @staticmethod
+    def assert_dump_json_bytes(G, tmp_path):
         save_graph(G, tmp_path / "new.json")
         dump_json(G.to_dict(), tmp_path / "old.json")
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+    @pytest.mark.parametrize("edges", [0, 1, 4095, 4096, 4097, 8193])
+    def test_block_boundaries(self, edges, tmp_path):
+        self.assert_dump_json_bytes(path_graph(edges + 1, edge_len=0.1), tmp_path)
+
+    def test_repeated_signed_zeros_are_rendered_once_each(self, tmp_path):
+        """A column of many ``-0.0`` and ``0.0`` takes the distinct-value
+        route, which must keep the two zeros apart."""
+        n = 600
+        zeros = np.where(np.arange(n) % 3 == 0, -0.0, 0.0)
+        G = MetricMeasureGraph.from_arrays(
+            np.arange(n), zeros, np.stack([zeros, -zeros, np.full(n, 0.5)], axis=1),
+            np.arange(n - 1), np.arange(1, n), np.full(n - 1, 0.25), zeros[1:],
+        )
+        for col in (G.mu, G.edge_measures, G.pos[:, 0]):
+            assert _slot(col)[1] == "%s"
+        self.assert_dump_json_bytes(G, tmp_path)
+        text = (tmp_path / "new.json").read_text()
+        assert '"mu": -0.0' in text and '"mu": 0.0' in text
+
+    def test_all_distinct_random_graph(self, rng, tmp_path):
+        G = random_geometric_graph(rng, 300)
+        for col in (G.mu, G.edge_lengths, G.pos[:, 0], G.pos[:, 1]):
+            assert _slot(col)[1] == "%r"
+        self.assert_dump_json_bytes(G, tmp_path)
+
+    @pytest.mark.parametrize("edges", [4095, 4096, 4097, 8193])
+    def test_repeated_column_across_block_boundaries(self, edges, tmp_path):
+        """Distinct-value columns next to an all-distinct one, over blocks
+        of ``_WRITE_BLOCK`` records."""
+        n = edges + 1
+        k = np.arange(n)
+        G = MetricMeasureGraph.from_arrays(
+            k, 1.0 + k / 7, np.stack([k % 5 * 0.1, np.full(n, -0.0)], axis=1),
+            k[:-1], k[1:], np.array([0.1, 1e-300, 0.3, 1e300])[k[:-1] % 4],
+            (k[:-1] % 2) * 0.7,
+        )
+        assert [_slot(c)[1] for c in (G.edge_lengths, G.edge_measures, G.mu)] == ["%s", "%s", "%r"]
+        self.assert_dump_json_bytes(G, tmp_path)
 
 
 class TestShortestPath:

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph
-from mmgraph import MetricMeasureGraph, PathResult, gen_grid, shortest_path
+from mmgraph import MetricMeasureGraph, PathResult, gen_grid, graph, shortest_path
 
 SETTINGS = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -152,3 +152,23 @@ def test_one_kernel_call_per_query(monkeypatch):
         res = shortest_path(G, x, y)
         assert len(calls) == 1
         assert res.length == nx.shortest_path_length(H, x, y, weight="weight")
+
+
+def test_one_csr_build_per_mask_or_predicate_query(monkeypatch):
+    """A mask or predicate metric's CSR is not cached; the path is read
+    back from the edge arrays, so the search builds the only one."""
+    G = gen_grid(1 / 8, (0.0, 0.0, 1.0, 1.0))
+    builds = []
+    orig = graph.csr_matrix
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "csr_matrix", counting)
+    mask = G.positive_edge_mask()
+    for metric in (mask, lambda e: e.mu_edge > 0):
+        builds.clear()
+        res = shortest_path(G, 0, 80, metric)
+        assert len(builds) == 1
+        assert res == heap_path(G, 0, 80, metric)
