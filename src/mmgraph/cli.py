@@ -345,6 +345,7 @@ def cmd_whitney(args) -> int:
 
 def _certify_whitney(G, cover) -> None:
     """Independent audit: partition sums, bump Lipschitz bound, support counts."""
+    weights = {}
     for vid, support in cover.sigma.items():
         total = sum(w for _, w in support)
         if not support or total <= 0:
@@ -353,20 +354,13 @@ def _certify_whitney(G, cover) -> None:
             raise CertifyError(
                 f"vertex {vid}: support size outside [1, {cover.multiplicity}]"
             )
-
-    def sigma_value(vid: int, block_i: int) -> float:
-        if vid in cover.omega or vid in cover.sigma:
-            for bi, w in cover.sigma.get(vid, ()):
-                if bi == block_i:
-                    return w
-        return 0.0
-
+        weights[vid] = dict(support)
     for e in G.edges():
         if e.a in cover.omega and e.b in cover.omega:
             continue
-        touched = {bi for v in (e.a, e.b) for bi, _ in cover.sigma.get(v, ())}
-        for bi in touched:
-            jump = abs(sigma_value(e.a, bi) - sigma_value(e.b, bi))
+        wa, wb = weights.get(e.a, {}), weights.get(e.b, {})
+        for bi in {*wa, *wb}:
+            jump = abs(wa.get(bi, 0.0) - wb.get(bi, 0.0))
             if jump > e.length + 1e-9:
                 raise CertifyError(
                     f"bump {bi} jumps by {jump} over an edge of length {e.length}"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -34,8 +34,8 @@ from .util import CertifyError, InputError, LENGTH_TOL
 class NagataCover:
     """Greedy cover of a point set at scale s.
 
-    Sets have diameter <= c*s by construction (c = 2: nearest-center
-    cells of an s-separated net).  ``n`` is the empirically certified
+    Sets have diameter <= c*s by construction (c = 2: the cells of
+    ``_greedy_net`` at separation s).  ``n`` is the empirically certified
     multiplicity minus one: no probe set of diameter <= s met more than
     n + 1 members.  The certification is by probing, not proof; probe
     statistics are recorded.
@@ -63,9 +63,10 @@ class NagataCover:
 class WhitneyData:
     """Whitney-type cover of the exterior of Omega.
 
-    Blocks are per-dyadic-annulus nearest-center cells; ``base_dists[i]``
-    is d(B_i, Omega), and diam(B_i) <= alpha * base_dists[i].  Anchors
-    are nearest Omega vertices with d(z_i, B_i) < (2 - delta) * base.
+    Blocks are the cells of ``_greedy_net`` on each dyadic annulus;
+    ``base_dists[i]`` is d(B_i, Omega), and diam(B_i) <= alpha *
+    base_dists[i].  Anchors are nearest Omega vertices with
+    d(z_i, B_i) < (2 - delta) * base.
     ``sigma`` holds the partition-of-unity weights
     sigma_i(x) = max(0, delta * base_i - d(B_i, x)) per exterior vertex,
     where delta = beta / (2 (beta + 1)); ``multiplicity`` is the largest
@@ -231,7 +232,53 @@ def truncate_extend(
     return {k: float(min(m, max(-m, v))) for k, v in tu.items()}
 
 
-# -- Nagata covers -----------------------------------------------------------
+# -- greedy nets: Nagata and Whitney covers ----------------------------------
+
+
+def _greedy_net(
+    G: MetricMeasureGraph,
+    cols: np.ndarray,
+    sep: float,
+    each_row: Callable[[np.ndarray], object] = lambda d: None,
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Nearest-center cells of the greedy sep-separated net of the points
+    ``cols`` (vertex indices, scanned in order).
+
+    A point becomes a center when no earlier center lies within sep of it,
+    and every point joins its nearest center, the first on ties, so cells
+    have radius < sep and diameter <= 2 sep.  Each point's row is read
+    once, from a search truncated at 2 sep + LENGTH_TOL
+    (``graph._distance_rows``) restricted to the points, and is passed to
+    ``each_row``.  A cell is wide when some member's row misses another
+    member: the bound through the center holds only up to rounding.  Per
+    row only the points within the limit are kept, so memory grows with
+    the ball size, not len(cols)**2.
+
+    Returns each point's cell, each cell's points (positions in ``cols``,
+    in order; cells in the order their centers were chosen) and each
+    cell's wide flag.
+    """
+    limit = 2.0 * sep + LENGTH_TOL
+    mind = np.full(cols.size, math.inf)
+    near: list[tuple[np.ndarray, np.ndarray]] = []  # per center: points within sep
+    close: list[np.ndarray] = []
+    for i, row in enumerate(_distance_rows(G, cols, limit=limit)):
+        d = row[cols]
+        if mind[i] >= sep:
+            np.minimum(mind, d, out=mind)
+            j = (d < sep).nonzero()[0]
+            near.append((j, d[j]))
+        close.append((d <= limit).nonzero()[0].astype(np.int32))
+        each_row(d)
+    ci = np.concatenate([np.full(j.size, c) for c, (j, _) in enumerate(near)])
+    cj = np.concatenate([j for j, _ in near])
+    order = np.lexsort((ci, np.concatenate([dj for _, dj in near]), cj))
+    assign = ci[order[np.r_[True, np.diff(cj[order]) != 0]]]
+    size = np.bincount(assign, minlength=len(near))
+    members = np.split(np.argsort(assign, kind="stable"), np.cumsum(size)[:-1])
+    held = np.asarray([np.count_nonzero(assign[c] == assign[a]) for a, c in enumerate(close)])
+    wide = np.bincount(assign[held < size[assign]], minlength=len(near)) > 0
+    return assign, members, wide
 
 
 def nagata_cover(
@@ -242,91 +289,47 @@ def nagata_cover(
 ) -> NagataCover:
     """Greedy scale-s cover of a vertex set with empirical multiplicity.
 
-    Centers form an s-separated net (scanned in id order), every point
-    joins its nearest center (ties to the smallest center id), so sets
-    have radius < s and diameter <= 2s.  Multiplicity is certified by
-    probing every closed ball of radius s/2: each such probe has diameter
-    <= s, and the recorded n + 1 is the largest member count any probe
-    met.
-
-    Every step reads only distances up to 2s + LENGTH_TOL, so each point's
-    row comes from one search truncated there (``graph._distance_rows``,
-    restricted to the points): the net and the nearest centers read
-    entries below s, as every point lies within s of a center; the probes
-    read entries up to s/2; and a set passes its diameter check exactly
-    when each member's row holds every other member within 2s +
-    LENGTH_TOL, the bound the triangle inequality gives through the
-    center up to that slack for rounding.  Only the points within that
-    bound are kept per row, so memory grows with the ball size, not k**2.
+    The sets are the cells of ``_greedy_net`` at separation s over the
+    points in id order; a wide cell is refused with its exact diameter.
+    Multiplicity is certified by probing every closed ball of radius s/2,
+    read from the net's own rows: each such probe has diameter <= s, and
+    the recorded n + 1 is the largest member count any probe met.
     """
     if not (s > 0) or not np.isfinite(s):
         raise InputError("scale s must be positive and finite")
-    if points is None:
-        pts = [int(v) for v in G.vertex_ids]
-    else:
-        pts = sorted(int(v) for v in points)
-        if len(set(pts)) != len(pts):
-            raise InputError("duplicate points")
-        for v in pts:
-            G.index_of(v)
+    pts = [int(v) for v in G.vertex_ids] if points is None else sorted(int(v) for v in points)
+    if len(set(pts)) != len(pts):
+        raise InputError("duplicate points")
+    cols = np.asarray([G.index_of(v) for v in pts], dtype=np.int64)
     if not pts:
         raise InputError("need at least one point")
-    k = len(pts)
-    cols = np.asarray([G.index_of(v) for v in pts], dtype=np.int64)
-    limit = 2.0 * s + LENGTH_TOL
-
-    mind = np.full(k, math.inf)
-    near: list[tuple[np.ndarray, np.ndarray]] = []  # per center: points within s
     probes: list[np.ndarray] = []
-    close: list[np.ndarray] = []
-    for i, row in enumerate(_distance_rows(G, cols, limit=limit)):
-        d = row[cols]
-        if mind[i] >= s:
-            np.minimum(mind, d, out=mind)
-            j = (d < s).nonzero()[0]
-            near.append((j, d[j]))
-        probes.append((d <= s / 2.0).nonzero()[0])
-        close.append((d <= limit).nonzero()[0].astype(np.int32))
-    n_centers = len(near)
-    # each point's nearest center, the first on ties, among those within s
-    ci = np.concatenate([np.full(j.size, c) for c, (j, _) in enumerate(near)])
-    cj = np.concatenate([j for j, _ in near])
-    order = np.lexsort((ci, np.concatenate([dj for _, dj in near]), cj))
-    assign = ci[order[np.r_[True, np.diff(cj[order]) != 0]]]
-
-    size = np.bincount(assign, minlength=n_centers)
-    members = np.split(np.argsort(assign, kind="stable"), np.cumsum(size)[:-1])
-    sets = [tuple(pts[j] for j in m.tolist()) for m in members]
-    held = np.asarray([np.count_nonzero(assign[c] == assign[a]) for a, c in enumerate(close)])
-    wide = held < size[assign]
+    assign, members, wide = _greedy_net(
+        G, cols, s, lambda d: probes.append((d <= s / 2.0).nonzero()[0])
+    )
     if wide.any():
-        rows = cols[members[assign[wide].min()]]
+        rows = cols[members[int(np.argmax(wide))]]
         diam = max(float(np.max(r[rows])) for r in _distance_rows(G, rows))
         raise CertifyError(f"cover set diameter {diam} exceeds 2s = {2 * s}")
 
+    k, n_centers = len(pts), len(members)
     owner = np.repeat(np.arange(k), [b.size for b in probes])
     met = np.unique(owner * n_centers + assign[np.concatenate(probes)])
     counts = np.bincount(met // n_centers, minlength=k)
     probe_max = int(counts.max())
-    probe_witness = pts[int(np.argmax(counts))]
-    n = max(0, probe_max - 1)
-    exceeded = target_n is not None and probe_max > target_n + 1
     return NagataCover(
-        sets=tuple(sets),
+        sets=tuple(tuple(pts[j] for j in m.tolist()) for m in members),
         s=float(s),
         c=2.0,
-        n=n,
+        n=max(0, probe_max - 1),
         probe_stats={
             "probe_family": "closed balls of radius s/2",
             "probes": k,
             "max_multiplicity": probe_max,
-            "witness_center": probe_witness,
+            "witness_center": pts[int(np.argmax(counts))],
         },
-        exceeded_target=exceeded,
+        exceeded_target=target_n is not None and probe_max > target_n + 1,
     )
-
-
-# -- Whitney covers ----------------------------------------------------------
 
 
 def whitney_cover(
@@ -337,119 +340,78 @@ def whitney_cover(
 ) -> WhitneyData:
     """Whitney-type cover of the exterior of Omega.
 
-    Exterior vertices are grouped by dyadic annuli of distance to Omega
-    and clustered by a greedy net at separation alpha * 2^(k-1) within
-    annulus k, which gives diam(B_i) <= alpha * d(B_i, Omega) directly.
-    Every invariant is validated; violations raise instead of degrading.
-    Exterior vertices unreachable from Omega are excluded and recorded.
+    Exterior vertices are grouped by dyadic annuli 2^k <= d(x, Omega) <
+    2^(k+1), and the blocks of annulus k are the cells of ``_greedy_net``
+    at separation alpha * 2^(k-1), which gives diam(B_i) <= alpha *
+    d(B_i, Omega) directly.  Every invariant is validated; violations
+    raise instead of degrading.  Exterior vertices unreachable from Omega
+    are excluded and recorded.  Besides one search from Omega and the
+    net's batched pass per annulus, each block makes one min-only search
+    truncated at d(B_i, Omega), read for both its anchor and its weights
+    (delta < 1/2), and one from its anchor for the proximity audit.
     """
     om = _check_omega(G, omega, None)
     if not (alpha > 0) or not (beta > 0):
         raise InputError("alpha and beta must be positive")
     delta = beta / (2.0 * (beta + 1.0))
-    omset = frozenset(om)
     ids = G.vertex_ids
-    n = G.n_vertices
     D = G.distances_from(om, min_only=True)
     om_idx = np.asarray([G.index_of(v) for v in om], dtype=np.int64)
-
-    ext_idx = [i for i in range(n) if int(ids[i]) not in omset]
-    excluded = tuple(int(ids[i]) for i in ext_idx if not np.isfinite(D[i]))
-    live = [i for i in ext_idx if np.isfinite(D[i])]
-    if not live:
-        return WhitneyData(
-            blocks=(), anchors=(), base_dists=(), alpha=alpha, beta=beta,
-            delta=delta, multiplicity=0, sigma={}, excluded=excluded,
-            omega=omset,
-        )
-
-    levels = sorted({int(math.floor(math.log2(D[i]))) for i in live})
+    ext = np.ones(G.n_vertices, dtype=bool)
+    ext[om_idx] = False
+    live = ext & np.isfinite(D)
+    level = np.frexp(D)[1] - 1  # 2^level <= D < 2^(level+1), exactly
     blocks: list[tuple[int, ...]] = []
     anchors: list[int] = []
     bases: list[float] = []
-    for k in levels:
-        lo, hi = 2.0 ** k, 2.0 ** (k + 1)
-        ann = [i for i in live if lo <= D[i] < hi]
-        sep = alpha * 2.0 ** (k - 1)
-        mind = np.full(len(ann), math.inf)
-        owner = np.full(len(ann), -1, dtype=np.int64)
-        n_centers = 0
-        for j, i in enumerate(ann):
-            if mind[j] >= sep:
-                row = G.distances_from([int(ids[i])], limit=sep, min_only=True)
-                for jj, ii in enumerate(ann):
-                    dv = row[ii]
-                    if dv < mind[jj]:
-                        mind[jj] = dv
-                        owner[jj] = n_centers
-                n_centers += 1
-        for ci in range(n_centers):
-            members = [ann[j] for j in range(len(ann)) if owner[j] == ci]
-            base = float(min(D[i] for i in members))
-            blocks.append(tuple(int(ids[i]) for i in members))
+    # per block its weights' vertices, block and values; the empty first
+    # part keeps the columns typed when no vertex is live
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
+    for k in np.unique(level[live]).tolist():
+        ann = np.flatnonzero(live & (level == k))
+        _, cells, wide = _greedy_net(G, ann, alpha * 2.0 ** (k - 1))
+        for cell, is_wide in zip(cells, wide):
+            bi, pts = len(blocks), ann[cell]
+            base = float(np.min(D[pts]))
+            blocks.append(tuple(ids[pts].tolist()))
             bases.append(base)
+            row = G.distances_from(blocks[bi], limit=base, min_only=True)
             # anchor: the Omega vertex nearest to the block, smallest id on ties
-            brow = G.distances_from(
-                [int(ids[i]) for i in members], limit=base, min_only=True
-            )
-            dom = brow[om_idx]
-            near = float(np.min(dom))
-            anchors.append(om[int(np.nonzero(dom <= near + 1e-15)[0][0])])
-
-    # invariant audits: block diameter and anchor proximity
-    for bi, members in enumerate(blocks):
-        base = bases[bi]
-        midx = [G.index_of(v) for v in members]
-        if len(members) > 1:
-            rows = np.atleast_2d(
-                G.distances_from(list(members), limit=alpha * base + LENGTH_TOL)
-            )
-            diam = float(np.max(rows[:, midx]))
-            if diam > alpha * base + LENGTH_TOL:
+            dom = row[om_idx]
+            anchors.append(om[int(np.argmax(dom <= np.min(dom) + 1e-15))])
+            near = np.flatnonzero((row < delta * base) & ext)
+            parts.append((near, np.full(near.size, bi), delta * base - row[near]))
+            # a cell that is not wide has diam <= 2 sep + LENGTH_TOL <= bound
+            if is_wide:
+                bound = alpha * base + LENGTH_TOL
+                diam = max(float(np.max(r[pts])) for r in _distance_rows(G, pts, limit=bound))
+                if diam > bound:
+                    raise CertifyError(
+                        f"block {bi} diameter {diam} exceeds alpha*d = {alpha * base}"
+                    )
+            arow = G.distances_from([anchors[bi]], limit=2.0 * base, min_only=True)
+            d_anchor = float(np.min(arow[pts]))
+            if not d_anchor < (2.0 - delta) * base + LENGTH_TOL:
                 raise CertifyError(
-                    f"block {bi} diameter {diam} exceeds alpha*d = {alpha * base}"
+                    f"block {bi} anchor at distance {d_anchor}, bound {(2.0 - delta) * base}"
                 )
-        arow = G.distances_from([anchors[bi]], limit=2.0 * base, min_only=True)
-        d_anchor = float(np.min(arow[midx]))
-        if not d_anchor < (2.0 - delta) * base + LENGTH_TOL:
-            raise CertifyError(
-                f"block {bi} anchor at distance {d_anchor}, "
-                f"bound {(2.0 - delta) * base}"
-            )
 
-    # partition-of-unity weights
-    sigma_lists: dict[int, list[tuple[int, float]]] = {int(ids[i]): [] for i in live}
-    for bi, members in enumerate(blocks):
-        radius = delta * bases[bi]
-        row = G.distances_from(list(members), limit=radius, min_only=True)
-        close = np.nonzero(row < radius)[0]
-        for i in close:
-            vid = int(ids[i])
-            if vid in omset:
-                continue
-            sigma_lists.setdefault(vid, []).append((bi, float(radius - row[i])))
-
-    multiplicity = 0
-    sigma: dict[int, tuple[tuple[int, float], ...]] = {}
-    for i in live:
-        vid = int(ids[i])
-        entries = tuple(sorted(sigma_lists.get(vid, [])))
-        if not entries:
-            raise CertifyError(f"exterior vertex {vid} has empty partition support")
-        sigma[vid] = entries
-        multiplicity = max(multiplicity, len(entries))
-
+    # partition-of-unity weights of each live vertex, in block order
+    vert, blk, weight = (np.concatenate(col) for col in zip(*parts))
+    count = np.bincount(vert, minlength=G.n_vertices)
+    empty = live & (count == 0)
+    if empty.any():
+        vid = int(ids[np.argmax(empty)])
+        raise CertifyError(f"exterior vertex {vid} has empty partition support")
+    order = np.lexsort((blk, vert))
+    pairs = list(zip(blk[order].tolist(), weight[order].tolist()))
+    ends = np.cumsum(count[live]).tolist()
+    sigma = {v: tuple(pairs[a:b]) for v, a, b in zip(ids[live].tolist(), [0] + ends[:-1], ends)}
     return WhitneyData(
-        blocks=tuple(blocks),
-        anchors=tuple(anchors),
-        base_dists=tuple(bases),
-        alpha=float(alpha),
-        beta=float(beta),
-        delta=float(delta),
-        multiplicity=multiplicity,
-        sigma=sigma,
-        excluded=excluded,
-        omega=omset,
+        blocks=tuple(blocks), anchors=tuple(anchors), base_dists=tuple(bases),
+        alpha=float(alpha), beta=float(beta), delta=float(delta),
+        multiplicity=int(count.max()), sigma=sigma,
+        excluded=tuple(ids[ext & ~np.isfinite(D)].tolist()), omega=frozenset(om),
     )
 
 

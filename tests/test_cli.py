@@ -385,6 +385,29 @@ class TestWhitneyCommand:
         assert run("whitney", "--graph", grid_path, "--boundary", b_csv) == 2
         assert capsys.readouterr().err == "error: boundary data not finite at vertex 4\n"
 
+    def test_tampered_weight_fails_certification_with_exit_3(
+        self, grid_path, monkeypatch, capsys
+    ):
+        import dataclasses
+
+        import mmgraph.extension as ext_mod
+
+        real = ext_mod.whitney_cover
+
+        def tampered(*args, **kwargs):
+            cover = real(*args, **kwargs)
+            vid = max(cover.sigma)
+            (bi, w), *rest = cover.sigma[vid]
+            sigma = {**cover.sigma, vid: ((bi, w + 1.0), *rest)}
+            return dataclasses.replace(cover, sigma=sigma)
+
+        monkeypatch.setattr(ext_mod, "whitney_cover", tampered)
+        assert run("whitney", "--graph", grid_path, "--omega", "0,1,5", "--certify") == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"certification failure: bump \d+ jumps by \S+ over an edge of length 0\.25\n", err
+        )
+
 
 class TestAmleCommand:
     def test_whole_boundary_path_solution(self, path11, tmp_path):

@@ -3,7 +3,7 @@
 Poincare rows, doubling ratios and balls are recomputed from exact
 networkx distances on random graphs with zero-measure vertices and
 edges, disconnected parts and edge lengths of 1e-300 and 1e300; Nagata
-covers are compared with the dense construction they replaced.  The
+and Whitney covers are compared with the constructions they replaced.  The
 chunk size of the batched kernel calls is drawn too, so that one source
 per call, a few per call and all of them in one call are each covered.
 """
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mmgraph.extension as ext_mod
 import mmgraph.graph as graph_mod
 from conftest import make_graph
 from mmgraph import (
@@ -30,7 +31,9 @@ from mmgraph import (
     NagataCover,
     QCRow,
     QuasiconvexityReport,
+    WhitneyData,
     ball,
+    components,
     doubling_ratios,
     gen_grid,
     hajlasz_gradient_from_upper,
@@ -38,7 +41,9 @@ from mmgraph import (
     poincare_constant,
     quasiconvexity_constant,
     verify_hajlasz,
+    whitney_cover,
 )
+from mmgraph.util import LENGTH_TOL
 
 LENGTHS = st.one_of(
     st.sampled_from([1e-300, 1e300, 1.0]),
@@ -476,3 +481,226 @@ class TestNagataOracle:
             calls.clear()
             nagata_cover(G, 0.2, points=pts)
             assert len(calls) == math.ceil(len(pts) / graph_mod._chunk_sources(n))
+
+
+def dense_whitney(G, omega, alpha=2.0, beta=0.5):
+    """``whitney_cover`` as built by a per-center greedy net over each annulus,
+    one full kernel call per center and four per block."""
+    om = ext_mod._check_omega(G, omega, None)
+    if not (alpha > 0) or not (beta > 0):
+        raise InputError("alpha and beta must be positive")
+    delta = beta / (2.0 * (beta + 1.0))
+    omset = frozenset(om)
+    ids = G.vertex_ids
+    n = G.n_vertices
+    D = G.distances_from(om, min_only=True)
+    om_idx = np.asarray([G.index_of(v) for v in om], dtype=np.int64)
+
+    ext_idx = [i for i in range(n) if int(ids[i]) not in omset]
+    excluded = tuple(int(ids[i]) for i in ext_idx if not np.isfinite(D[i]))
+    live = [i for i in ext_idx if np.isfinite(D[i])]
+    if not live:
+        return WhitneyData(
+            blocks=(), anchors=(), base_dists=(), alpha=alpha, beta=beta,
+            delta=delta, multiplicity=0, sigma={}, excluded=excluded,
+            omega=omset,
+        )
+
+    levels = sorted({int(math.floor(math.log2(D[i]))) for i in live})
+    blocks, anchors, bases = [], [], []
+    for k in levels:
+        lo, hi = 2.0 ** k, 2.0 ** (k + 1)
+        ann = [i for i in live if lo <= D[i] < hi]
+        sep = alpha * 2.0 ** (k - 1)
+        mind = np.full(len(ann), math.inf)
+        owner = np.full(len(ann), -1, dtype=np.int64)
+        n_centers = 0
+        for j, i in enumerate(ann):
+            if mind[j] >= sep:
+                row = G.distances_from([int(ids[i])], limit=sep, min_only=True)
+                for jj, ii in enumerate(ann):
+                    if row[ii] < mind[jj]:
+                        mind[jj] = row[ii]
+                        owner[jj] = n_centers
+                n_centers += 1
+        for ci in range(n_centers):
+            members = [ann[j] for j in range(len(ann)) if owner[j] == ci]
+            base = float(min(D[i] for i in members))
+            blocks.append(tuple(int(ids[i]) for i in members))
+            bases.append(base)
+            brow = G.distances_from([int(ids[i]) for i in members], limit=base, min_only=True)
+            dom = brow[om_idx]
+            near = float(np.min(dom))
+            anchors.append(om[int(np.nonzero(dom <= near + 1e-15)[0][0])])
+
+    for bi, members in enumerate(blocks):
+        base = bases[bi]
+        midx = [G.index_of(v) for v in members]
+        if len(members) > 1:
+            rows = np.atleast_2d(
+                G.distances_from(list(members), limit=alpha * base + LENGTH_TOL))
+            diam = float(np.max(rows[:, midx]))
+            if diam > alpha * base + LENGTH_TOL:
+                raise CertifyError(
+                    f"block {bi} diameter {diam} exceeds alpha*d = {alpha * base}")
+        arow = G.distances_from([anchors[bi]], limit=2.0 * base, min_only=True)
+        d_anchor = float(np.min(arow[midx]))
+        if not d_anchor < (2.0 - delta) * base + LENGTH_TOL:
+            raise CertifyError(
+                f"block {bi} anchor at distance {d_anchor}, bound {(2.0 - delta) * base}")
+
+    sigma_lists = {int(ids[i]): [] for i in live}
+    for bi, members in enumerate(blocks):
+        radius = delta * bases[bi]
+        row = G.distances_from(list(members), limit=radius, min_only=True)
+        for i in np.nonzero(row < radius)[0]:
+            vid = int(ids[i])
+            if vid not in omset:
+                sigma_lists.setdefault(vid, []).append((bi, float(radius - row[i])))
+
+    multiplicity = 0
+    sigma = {}
+    for i in live:
+        vid = int(ids[i])
+        entries = tuple(sorted(sigma_lists.get(vid, [])))
+        if not entries:
+            raise CertifyError(f"exterior vertex {vid} has empty partition support")
+        sigma[vid] = entries
+        multiplicity = max(multiplicity, len(entries))
+    return WhitneyData(
+        blocks=tuple(blocks), anchors=tuple(anchors), base_dists=tuple(bases),
+        alpha=float(alpha), beta=float(beta), delta=float(delta),
+        multiplicity=multiplicity, sigma=sigma, excluded=excluded, omega=omset,
+    )
+
+
+def whitney_outcome(cover, *args, **kwargs):
+    """Everything a cover holds, or the message it was refused with."""
+    try:
+        c = cover(*args, **kwargs)
+    except CertifyError as exc:
+        return str(exc)
+    return c.to_dict(), c.sigma, c.excluded, c.omega
+
+
+def disc_omega(G, r=0.15):
+    d = np.hypot(G.pos[:, 0] - 0.5, G.pos[:, 1] - 0.5)
+    return [int(v) for v, x in zip(G.vertex_ids, d) if x <= r]
+
+
+@st.composite
+def linked_graphs(draw, max_n=10):
+    """``graphs`` with a path through at least half of the vertices added,
+    so that more exterior vertices reach Omega."""
+    G = draw(graphs(max_n))
+    ids = [int(v) for v in G.vertex_ids]
+    have = {frozenset((e.a, e.b)) for e in G.edges()}
+    chain = draw(st.permutations(ids))[:draw(st.integers(len(ids) // 2, len(ids)))]
+    edges = [(e.a, e.b, e.length, e.mu_edge) for e in G.edges()]
+    edges += [(a, b, draw(LENGTHS), draw(st.sampled_from([0.0, 1.0])))
+              for a, b in zip(chain, chain[1:]) if frozenset((a, b)) not in have]
+    return make_graph(list(zip(ids, G.mu.tolist())), edges)
+
+
+class TestWhitneyOracle:
+    @SETTINGS
+    @given(linked_graphs(), CHUNKS, st.data())
+    def test_matches_dense_construction(self, G, entries, data):
+        ids = [int(v) for v in G.vertex_ids]
+        # a few vertices, sometimes with a whole component
+        omega = set(data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3)))
+        if data.draw(st.integers(0, 3)) == 0:
+            omega.update(data.draw(st.sampled_from(components(G))))
+        alpha = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.5]))
+        beta = data.draw(st.sampled_from([0.1, 0.5, 1.0]))
+        with chunked(entries):
+            got = whitney_outcome(whitney_cover, G, omega, alpha, beta)
+        assert got == whitney_outcome(dense_whitney, G, omega, alpha, beta)
+
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 0.5), (0.5, 0.1), (3.5, 1.0)])
+    def test_grid_and_carpet(self, alpha, beta):
+        grid = gen_grid(1 / 16, (0.0, 0.0, 1.0, 1.0))
+        carpet = MeshSpec.from_dict(
+            {"kind": "carpet", "level": 3, "negligible_mode": "all"}).build()
+        for G, omega in ((grid, disc_omega(grid)),
+                         (carpet, [int(v) for v in carpet.vertex_ids if v % 5 == 0])):
+            got = whitney_outcome(whitney_cover, G, omega, alpha, beta)
+            assert got == whitney_outcome(dense_whitney, G, omega, alpha, beta)
+            assert not isinstance(got, str)
+
+    @pytest.mark.parametrize("reach", [1.0, 1.25])
+    def test_a_cell_wide_by_rounding_is_audited_exactly(self, reach):
+        """The path of ``test_rounding_past_2s_is_refused_as_dense`` hangs
+        from Omega = {11} at vertex 0, with alpha set so that the separation
+        of its annulus is just past the path's reach from 0: the path is one
+        cell, wide because the path's ends are more than 2 sep + 1e-9
+        apart.  With d(B, Omega) = 2^43 the exact audit refuses it, as the
+        dense construction does; with 1.25 * 2^43 it passes."""
+        path = [5, 4, 3, 2, 1, 0, 6, 7, 8, 9, 10]
+        lens = [0.7, 0.2, 0.3, 0.2, 0.1, 0.7, 0.2, 0.2, 0.2, 0.2]
+        edges = [(a, b, x * 2.0 ** 40) for a, b, x in zip(path, path[1:], lens)]
+        G = make_graph([(v, 1.0) for v in range(12)],
+                       edges + [(0, 11, reach * 2.0 ** 43)])
+        sep = float(np.nextafter(np.max(G.distances_from([0], min_only=True)[:11]), np.inf))
+        alpha = sep / 2.0 ** 42
+        _, cells, wide = ext_mod._greedy_net(G, np.arange(11), sep)
+        assert [c.tolist() for c in cells] == [list(range(11))] and wide.all()
+        got = whitney_outcome(whitney_cover, G, [11], alpha)
+        assert got == whitney_outcome(dense_whitney, G, [11], alpha)
+        if reach == 1.0:
+            assert got.startswith("block 0 diameter ")
+        else:
+            assert got[0]["blocks"] == [list(range(11))]
+
+    def test_anchor_ties_within_1e_15_go_to_the_smallest_id(self):
+        G = make_graph([(0, 1.0), (1, 1.0), (2, 1.0)],
+                       [(0, 2, 1.0000000000000002), (1, 2, 1.0)])
+        assert whitney_cover(G, [0, 1]).anchors == (0,)
+        assert whitney_outcome(whitney_cover, G, [0, 1]) == whitney_outcome(
+            dense_whitney, G, [0, 1])
+
+    def test_distance_just_below_a_power_of_two_keeps_its_annulus(self):
+        """log2 rounds 1024 - ulp up to 10.0, which put vertex 1 in the empty
+        annulus [1024, 2048) of the dense construction and left it in no
+        block; its annulus is [512, 1024)."""
+        G = make_graph([(0, 1.0), (1, 1.0)], [(0, 1, float(np.nextafter(1024.0, 0.0)))])
+        assert whitney_cover(G, [0]).blocks == ((1,),)
+        assert whitney_outcome(dense_whitney, G, [0]) == (
+            "exterior vertex 1 has empty partition support")
+
+    def test_kernel_calls(self, monkeypatch):
+        G = gen_grid(1 / 32, (0.0, 0.0, 1.0, 1.0))
+        calls, nets = [], []
+        orig = MetricMeasureGraph.distances_from
+        orig_net = ext_mod._greedy_net
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return orig(self, *args, **kwargs)
+
+        def net(*args):
+            nets.append(orig_net(*args))
+            return nets[-1]
+
+        monkeypatch.setattr(MetricMeasureGraph, "distances_from", counting)
+        monkeypatch.setattr(ext_mod, "_greedy_net", net)
+        cover = whitney_cover(G, disc_omega(G))
+        # one search from Omega, the batched pass of each annulus's net, and
+        # per block one search from the block and one from its anchor; a
+        # wide cell adds its exact diameter audit
+        step = graph_mod._chunk_sources(G.n_vertices)
+        passes = sum(math.ceil(assign.size / step) for assign, _, _ in nets)
+        wide = sum(int(w.sum()) for _, _, w in nets)
+        assert len(nets) == len(set(np.frexp(cover.base_dists)[1].tolist()))
+        assert len(calls) <= 1 + passes + 2 * len(cover.blocks) + wide
+
+    def test_peak_memory_at_h_1_64(self):
+        G = gen_grid(1 / 64, (0.0, 0.0, 1.0, 1.0))
+        omega = disc_omega(G)
+        tracemalloc.start()
+        try:
+            whitney_cover(G, omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11e6
