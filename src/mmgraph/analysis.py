@@ -22,6 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import graph
 from .graph import Ball, Metric, MetricMeasureGraph, _distance_blocks, _distance_rows
 from .util import InputError, LENGTH_TOL
 
@@ -406,6 +407,15 @@ def poincare_constant(
     a zero denominator yields ``inf``; zero-measure balls are skipped and
     counted.  Default radii are r, r/2, r/4, r/8; ``exhaustive_radii``
     scans every distinct center-to-vertex distance <= r instead.
+
+    Measure and oscillation are sums over the members in id order, and
+    diam(B) is the largest distance between two members, read from both
+    ends of each pair.  Only pairs in a shell are read: the member f
+    farthest from the center, at distance e, bounds diam(B) below by its
+    largest distance lb to a member, and by the triangle inequality
+    through the center only members at distance about lb - e or more can
+    end a longer pair (``_diameters``).  Balls are scanned in blocks of
+    centers, with no loop per center or radius.
     """
     if not (r > 0) or not np.isfinite(r):
         raise InputError("scale r must be positive and finite")
@@ -427,64 +437,27 @@ def poincare_constant(
     # every lam-inflated ball and every distance between ball members
     rmax = r * (1 + 1e-12) + 1e-300 if exhaustive_radii else max(radii)
     table = _distance_table(G, max(lam, 2.0) * rmax)
-    indptr, cols, dists = table
+    indptr, keys, dists = table
 
     best = 0.0
     witness: Ball | None = None
     rows: list[PoincareRow] = []
     skipped = 0
-    for ci in range(G.n_vertices):
-        cid = int(ids[ci])
-        near, dist = cols[indptr[ci]:indptr[ci + 1]], dists[indptr[ci]:indptr[ci + 1]]
-        mu, u_near, rho_near = G.mu[near], uvals[near], rvals[near]
-        if exhaustive_radii:
-            dvals = np.unique(dist[(dist > 0) & (dist <= r)])
-            local_radii = [float(d) * (1 + 1e-12) + 1e-300 for d in dvals]
-        else:
-            local_radii = radii
-        diams = None
-        for rad in local_radii:
-            inside = dist < rad
-            w = mu[inside]
-            m = float(w.sum())
-            if m <= 0:
-                skipped += 1
-                rows.append(
-                    PoincareRow(cid, float(rad), 0.0, math.nan, math.nan,
-                                math.nan, math.nan)
-                )
-                continue
-            uu = u_near[inside]
-            seen = uu[w > 0]
-            if seen.min() == seen.max():
-                # u is constant where the ball has mass: the exact mean
-                # oscillation is 0, which the rounded mean may miss
-                num = 0.0
-            else:
-                ub = float((w * uu).sum() / m)
-                num = float((w * np.abs(uu - ub)).sum() / m)
-            sup_rho = float(np.max(rho_near[dist < lam * rad]))
-            if num <= 0:
-                rows.append(PoincareRow(cid, float(rad), m, 0.0, sup_rho, math.nan, 0.0))
-                continue
-            if diams is None:
-                # every ball around ci is a prefix of its nearest-first order
-                nearest = near[np.argsort(dist, kind="stable")]
-                reach = np.count_nonzero(dist < max(local_radii))
-                diams = _prefix_diameters(table, nearest[:reach])
-            diam = float(diams[np.count_nonzero(inside) - 1])
-            den = diam * sup_rho
-            val = math.inf if den <= 0 else num / den
-            rows.append(PoincareRow(cid, float(rad), m, num, sup_rho, diam, val))
-            if val > best:
-                best = val
-                witness = Ball(
-                    center=cid,
-                    radius=float(rad),
-                    members=tuple(int(ids[k]) for k in near[inside]),
-                    measure=m,
-                    closed=False,
-                )
+    for lo, hi in _runs(np.diff(indptr)):
+        cols = _poincare_block(table, lo, hi, G.mu, uvals, rvals, lam, r,
+                               None if exhaustive_radii else radii)
+        center, rad, m, C = cols[0], cols[1], cols[2], cols[6]
+        rows += map(PoincareRow, ids[center].tolist(), *(c.tolist() for c in cols[1:]))
+        skipped += int(np.count_nonzero(m == 0))
+        # C > 0 only on rows that needed a diameter; the first maximum wins
+        score = np.where(C > 0, C, 0.0)
+        j = int(np.argmax(score)) if score.size else 0
+        if score.size and score[j] > best:
+            near = slice(indptr[center[j]], indptr[center[j] + 1])
+            members = ids[keys[near][dists[near] < rad[j]] % ids.size]
+            best = float(score[j])
+            witness = Ball(int(ids[center[j]]), float(rad[j]), tuple(members.tolist()),
+                           float(m[j]), closed=False)
     return PoincareReport(
         lam=float(lam),
         r=float(r),
@@ -498,39 +471,170 @@ def poincare_constant(
     )
 
 
+def _poincare_block(table, lo, hi, mu, uvals, rvals, lam, r, radii):
+    """Columns center index, radius, measure, oscillation, sup_rho,
+    diameter and C of the balls around the centers ``lo .. hi - 1``, in
+    report order; ``radii`` None takes every distinct distance in (0, r]."""
+    indptr, keys, dists = table
+    p0, p1 = indptr[lo], indptr[hi]
+    near = np.repeat(np.arange(lo, hi), np.diff(indptr[lo:hi + 1]))
+    order = np.lexsort((dists[p0:p1], near))  # each row nearest first, ties by id
+    near, d, cols = near[order], dists[p0:p1][order], keys[p0:p1][order] % (indptr.size - 1)
+    if radii is None:
+        new = np.r_[True, (d[1:] != d[:-1]) | (near[1:] != near[:-1])] & (d > 0) & (d <= r)
+        center, rad = near[new], d[new] * (1 + 1e-12) + 1e-300
+    else:
+        center, rad = np.repeat(np.arange(lo, hi), len(radii)), np.tile(radii, hi - lo)
+    # a ball and its lam-inflated ball are prefixes of the center's row
+    first = indptr[center] - p0
+    k, klam = np.searchsorted(
+        _pair_keys(near, d), _pair_keys(np.r_[center, center], np.r_[rad, lam * rad])
+    ).reshape(2, -1) - first
+    m, osc, sup_rho, diam = np.full((4, rad.size), math.nan)
+    for a, b in _runs(k + klam):
+        m[a:b], osc[a:b] = _mean_oscillations(cols, first[a:b], k[a:b], mu, uvals)
+        sup_rho[a:b] = _segment_max(rvals[cols[_ranges(first[a:b], klam[a:b])]], klam[a:b])
+        need = a + np.flatnonzero((m[a:b] > 0) & ~(osc[a:b] <= 0))
+        if need.size:
+            diam[need] = _diameters(table, cols, d, first[need], k[need])
+    skip, level = m <= 0, osc <= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        C = np.where(diam * sup_rho <= 0, math.inf, osc / (diam * sup_rho))
+    osc[level], C[level] = 0.0, 0.0
+    m[skip], osc[skip], sup_rho[skip], C[skip] = 0.0, math.nan, math.nan, math.nan
+    return center, rad, m, osc, sup_rho, diam, C
+
+
+def _mean_oscillations(cols, first, k, mu, uvals):
+    """Measure and mu-weighted mean oscillation of ``u`` of each ball
+    ``cols[first:first + k]``, summed in id order.  The balls of one size
+    make one 2-D array, whose row sums are bit-equal to the 1-D sums of
+    single balls (``np.add.reduceat`` is not)."""
+    m, osc = np.empty((2, k.size))
+    by_size = np.argsort(k, kind="stable")
+    sizes, at = np.unique(k[by_size], return_index=True)
+    for size, balls in zip(sizes.tolist(), np.split(by_size, at[1:])):
+        members = np.sort(cols[first[balls, None] + np.arange(size)], axis=1)
+        w, uu = mu[members], uvals[members]
+        m[balls] = w.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = (w * uu).sum(axis=1) / m[balls]
+            osc[balls] = (w * np.abs(uu - mean[:, None])).sum(axis=1) / m[balls]
+        # u constant where the ball has mass: the exact mean oscillation
+        # is 0, which the rounded mean may miss
+        seen = w > 0
+        level = np.where(seen, uu, math.inf).min(1) == np.where(seen, uu, -math.inf).max(1)
+        osc[balls[level]] = 0.0
+    return m, osc
+
+
+def _diameters(table, cols, d, first, k):
+    """Diameter of each ball ``cols[first:first + k]``, whose distances
+    ``d`` from the center increase: the largest distance the table gives
+    between two members, either way round (``inf`` for a missed pair)."""
+    n = table[0].size - 1
+    at, ball, last = _ranges(first, k), np.repeat(np.arange(k.size), k), first + k - 1
+    f, e, t = cols[last][ball], d[last], cols[at]
+    lb = _segment_max(np.maximum(_lookup(table, f, t), _lookup(table, t, f)), k)
+    # A search gives D(x, y), the float sum from x of the lengths along
+    # one path, and no more than that sum along any other path from x.
+    # A float sum of at most 2n nonnegative terms is within a factor
+    # 1 -+ g of the exact sum, g = 2nu / (1 - 2nu), u = 2**-53.  Along the
+    # path a -> c -> b through the center c, for members a and b:
+    #     D(a, b) <= (1 + g) / (1 - g) (D(c, a) + D(c, b)) <= (1 + 3g)(D(c, a) + e),
+    # so D(a, b) > lb needs D(c, a) > lb / (1 + 3g) - e >= lb - e - 3g lb,
+    # and the same of b.  The slack 8nu (lb + e) covers 3g lb and the
+    # rounding of the threshold itself, which is relative to lb and e, not
+    # to lb - e.  The same path bounds every pair of members by
+    # 2 rad (1 + 3g), inside the table's limit of 2 rad (1 + 1e-9) while
+    # n < 10**6, so the table misses no pair of members; lb = inf (a
+    # missed pair) leaves the shell empty and the diameter inf.
+    with np.errstate(invalid="ignore"):
+        inside = d[at] >= ((lb - e) - n * 2.0**-50 * (lb + e))[ball]
+    shell, size = cols[at[inside]], np.bincount(ball[inside], minlength=k.size)
+    start, pairs = np.cumsum(size) - size, size * size
+    offset, total = np.cumsum(pairs) - pairs, int(pairs.sum())
+    # the ordered pairs of each shell, in chunks that may split a ball
+    step = _budget()
+    for q0 in range(0, total, step):
+        q = np.arange(q0, min(q0 + step, total))
+        owner = np.searchsorted(offset, q, "right") - 1
+        i, j = np.divmod(q - offset[owner], size[owner])
+        pair = _lookup(table, shell[start[owner] + i], shell[start[owner] + j])
+        np.maximum.at(lb, owner, pair)
+    return lb
+
+
 def _distance_table(G: MetricMeasureGraph, limit: float):
-    """Sparse rows of the distances within ``limit`` from every vertex:
-    ``(indptr, cols, dists)`` in CSR form, int32 columns in increasing
-    order, each vertex's own 0 included."""
+    """Sparse rows of the distances within ``limit`` from every vertex, in
+    CSR form ``(indptr, keys, dists)``: row ``i`` holds ``d(i, j)`` under
+    the key ``i * n + j``.  The keys increase, so each row's columns do and
+    a pair is found by ``searchsorted``; each vertex's own 0 is included."""
     n = G.n_vertices
-    sizes = np.zeros(n + 1, dtype=np.int64)
-    cols, dists = [np.empty(0, np.int32)], [np.empty(0)]
-    for i, row in enumerate(_distance_rows(G, np.arange(n), limit=limit)):
-        near = np.flatnonzero(np.isfinite(row))
-        sizes[i + 1] = near.size
-        cols.append(near.astype(np.int32))
-        dists.append(row[near])
-    return np.cumsum(sizes), np.concatenate(cols), np.concatenate(dists)
+    key = np.int32 if n * n < 2**31 else np.int64
+    keys, dists = [np.empty(0, key)], [np.empty(0)]
+    for row, col, d in _sparse_blocks(G, np.arange(n), limit):
+        keys.append((row * n + col).astype(key))
+        dists.append(d)
+    # one column at a time, so the pieces of one go before the next is joined
+    keys = np.concatenate(keys)
+    return np.searchsorted(keys, np.arange(n + 1) * n), keys, np.concatenate(dists)
 
 
-def _prefix_diameters(table, members: np.ndarray) -> np.ndarray:
-    """``out[k]`` is the diameter of ``members[:k + 1]``, the largest
-    distance the members' table rows give among them (``inf`` for a pair
-    the table misses)."""
-    indptr, cols, dists = table
-    k = members.size
-    starts = indptr[members]
-    lens = indptr[members + 1] - starts
-    # positions in ``cols`` of every entry of the members' rows
-    at = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-    pos = np.full(indptr.size - 1, -1, dtype=np.int64)
-    pos[members] = np.arange(k)
-    j = pos[cols[at]]
-    among = j >= 0
-    D = np.full((k, k), math.inf)
-    D[np.repeat(np.arange(k), lens)[among], j[among]] = dists[at[among]]
-    D = np.maximum(D, D.T)
-    return np.maximum.accumulate(np.tril(D).max(axis=1))
+def _sparse_blocks(G: MetricMeasureGraph, source_idx: np.ndarray, limit: float):
+    """``(rows, cols, dists)`` per kernel call of ``_distance_blocks``: the
+    finite entries of the sources' rows in increasing ``(row, col)`` order."""
+    for chunk, block in _distance_blocks(G, source_idx, limit=limit):
+        row, col = np.nonzero(np.isfinite(block))
+        yield chunk[row], col, block[row, col]
+
+
+def _lookup(table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``d(a, b)`` from row ``a`` of the table, ``inf`` where it misses ``b``.
+    Sorted keys searched among the rows asked for keep the search in cache;
+    keys in the table's own type spare converting all of its keys."""
+    indptr, keys, dists = table
+    want = (a * (indptr.size - 1) + b).astype(keys.dtype)
+    lo, hi = indptr[a.min()], indptr[a.max() + 1]
+    order = np.argsort(want)
+    at = np.empty_like(order)
+    at[order] = np.searchsorted(keys[lo:hi], want[order]) + lo
+    at = np.minimum(at, hi - 1)
+    return np.where(keys[at] == want, dists[at], math.inf)
+
+
+def _pair_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairs ``(a, b)`` as complex numbers, which numpy orders, sorts and
+    searches lexicographically."""
+    z = np.empty(a.shape, complex)
+    z.real, z.imag = a, b
+    return z
+
+
+def _ranges(first: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``first[i] .. first[i] + k[i] - 1``."""
+    return np.repeat(first - np.cumsum(k) + k, k) + np.arange(k.sum())
+
+
+def _segment_max(values: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The maximum of each run of ``k[i] >= 1`` consecutive values."""
+    return np.maximum.reduceat(values, np.cumsum(k) - k)
+
+
+def _budget() -> int:
+    """Entries per block of the Poincare scan: a block keeps about eight
+    temporaries per entry, so an eighth of a kernel call's entries."""
+    return max(1, graph._CHUNK_ENTRIES // 8)
+
+
+def _runs(sizes: np.ndarray):
+    """Consecutive runs ``(lo, hi)`` of ``range(len(sizes))`` whose sizes
+    add up to at most ``_budget()``; an item above it is a run of its own."""
+    ends, budget, lo = np.cumsum(sizes), _budget(), 0
+    while lo < ends.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - sizes[lo] + budget, "right")))
+        yield lo, hi
+        lo = hi
 
 
 def _total_field(G, f: Mapping[int, float], name: str, allow_inf=False) -> np.ndarray:
@@ -568,11 +672,14 @@ def hajlasz_gradient_from_upper(
         raise InputError("scale R must be positive")
     rvals = _total_field(G, rho, "rho", allow_inf=True)
     reach = C * R
-    rows = _distance_rows(G, np.arange(G.n_vertices), limit=reach)
-    return {
-        int(vid): float(C * np.max(rvals[dist <= reach]))
-        for vid, dist in zip(G.vertex_ids, rows)
-    }
+    sups = [np.empty(0)]
+    for row, col, d in _sparse_blocks(G, np.arange(G.n_vertices), reach):
+        kept = d <= reach
+        row, col = row[kept], col[kept]
+        # one run per row, none empty: every row keeps its own 0
+        starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        sups.append(np.maximum.reduceat(rvals[col], starts))
+    return dict(zip(G.vertex_ids.tolist(), (C * np.concatenate(sups)).tolist()))
 
 
 def verify_hajlasz(
@@ -592,26 +699,20 @@ def verify_hajlasz(
     uvals = _total_field(G, u, "u")
     gvals = _total_field(G, g, "g", allow_inf=True)
     ids = G.vertex_ids
-    n = G.n_vertices
     out: list[dict] = []
-    for i, dist in enumerate(_distance_rows(G, np.arange(n - 1), limit=R)):
-        cols = np.arange(i + 1, n)
-        d = dist[cols]
-        sel = d < R
-        cols, d = cols[sel], d[sel]
-        lhs = np.abs(uvals[cols] - uvals[i])
-        rhs = d * (gvals[cols] + gvals[i])
+    for x, y, d in _sparse_blocks(G, np.arange(G.n_vertices - 1), R):
+        keep = (y > x) & (d < R)
+        x, y, d = x[keep], y[keep], d[keep]
+        lhs = np.abs(uvals[y] - uvals[x])
+        rhs = d * (gvals[y] + gvals[x])
         bad = lhs > rhs + tol
-        for k in np.nonzero(bad)[0]:
-            out.append(
-                {
-                    "x": int(ids[i]),
-                    "y": int(ids[cols[k]]),
-                    "distance": float(d[k]),
-                    "lhs": float(lhs[k]),
-                    "rhs": float(rhs[k]),
-                }
+        out.extend(
+            {"x": a, "y": b, "distance": dist, "lhs": left, "rhs": right}
+            for a, b, dist, left, right in zip(
+                ids[x[bad]].tolist(), ids[y[bad]].tolist(), d[bad].tolist(),
+                lhs[bad].tolist(), rhs[bad].tolist(),
             )
+        )
     return out
 
 

@@ -16,6 +16,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from typing import Mapping, Sequence
 
@@ -24,11 +25,12 @@ import numpy as np
 from . import amle as amle_mod
 from . import analysis, extension, spaces
 from .graph import (
+    _distance_blocks,
+    _read_back,
     component_count,
     lipschitz_constant,
     load_graph,
     save_graph,
-    shortest_path,
 )
 from .util import (
     SCHEMA_VERSION,
@@ -183,22 +185,28 @@ def _dist_common(args, metric: str) -> int:
     G = load_graph(args.graph)
     sources = parse_int_list(args.source)
     if args.target is not None:
+        # a search per source would name a bad first source before a bad target
+        G.index_of(sources[0])
+        yi = G.index_of(args.target)
+        # every source's row from batched searches; the first source with
+        # the strictly smallest distance wins, as in a scan of the list
         best = None
-        for s in sources:
-            res = shortest_path(G, s, args.target, edge_filter=metric)
-            if best is None or res.length < best[1].length:
-                best = (s, res)
-        s, res = best
+        for chunk, rows in _distance_blocks(G, [G.index_of(s) for s in sources], metric):
+            k = int(np.argmin(rows[:, yi]))
+            if best is None or rows[k, yi] < best[1][yi]:
+                best = (int(chunk[k]), rows[k])
+        xi, d = best
+        path = _read_back(G, metric, d, xi, yi) if d[yi] < math.inf else []
         _write_report(
             args.report,
             {
                 "command": "dist" if metric == "graph" else "essdist",
                 "seed": args.seed,
                 "metric": metric,
-                "source": s,
+                "source": int(G.vertex_ids[xi]),
                 "target": args.target,
-                "distance": res.length,
-                "path": list(res.vertex_sequence),
+                "distance": float(d[yi]),
+                "path": G.vertex_ids[path].tolist(),
             },
         )
         return 0

@@ -15,9 +15,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph, path_graph
-from mmgraph import MeshSpec, components, gen_grid, save_graph
+from mmgraph import (
+    MeshSpec, MetricMeasureGraph, components, gen_grid, save_graph, shortest_path,
+)
 from mmgraph.cli import _scalar_csv, main, read_scalar_csv, read_vector_csv
-from mmgraph.util import dump_json
+from mmgraph.util import dump_json, parse_int_list
 
 GRID_SPEC = '{"kind": "grid", "h": 0.25, "rect": [0, 0, 1, 1]}'
 
@@ -93,6 +95,45 @@ class TestGenAuditDist:
         assert payload["distance"] == pytest.approx(1.0)
         assert payload["source"] == 0
         assert payload["path"][0] == 0 and payload["path"][-1] == 4
+
+    @pytest.mark.parametrize("cmd", ["dist", "essdist"])
+    @pytest.mark.parametrize("sources, target", [
+        ("0,5,17,40,99", 500), ("40,17,17,5", 500), ("16,18", 17), ("18,16", 17),
+        ("3,3,7", 7), ("7", 7), ("0,1088", 544), ("5,6", 2000), ("2000,4", 0),
+    ])
+    def test_dist_target_is_one_search_over_the_sources(
+        self, cmd, sources, target, tmp_path, monkeypatch
+    ):
+        """The report is the first listed source's with the strictly
+        smallest distance, its path as ``shortest_path`` gives it, from one
+        kernel call for all the sources; 2000 hangs off the grid by a
+        zero-measure edge, so the essential metric cannot reach it."""
+        G = gen_grid(1 / 32, (0.0, 0.0, 1.0, 1.0))
+        H = MetricMeasureGraph.from_arrays(
+            np.append(G.vertex_ids, 2000), np.append(G.mu, 1.0),
+            np.vstack([G.pos, [[2.0, 2.0]]]),
+            np.append(G.vertex_ids[G._edge_ia], 2000), np.append(G.vertex_ids[G._edge_ib], 0),
+            np.append(G.edge_lengths, 0.5), np.append(G.edge_measures, 0.0),
+        )
+        gp, rep = tmp_path / "g.json", tmp_path / "d.json"
+        save_graph(H, gp)
+        metric = "graph" if cmd == "dist" else "essential"
+        best = None
+        for s in parse_int_list(sources):
+            res = shortest_path(H, s, target, edge_filter=metric)
+            if best is None or res.length < best[1].length:
+                best = (s, res)
+        calls = []
+        orig = MetricMeasureGraph.distances_from
+        monkeypatch.setattr(MetricMeasureGraph, "distances_from",
+                            lambda self, *a, **k: calls.append(1) or orig(self, *a, **k))
+        assert run(cmd, "--graph", gp, "--source", sources, "--target", target,
+                   "--report", rep) == 0
+        assert len(calls) == 1
+        payload = json.loads(rep.read_text())
+        assert payload["source"] == best[0]
+        assert payload["distance"] == best[1].length
+        assert payload["path"] == list(best[1].vertex_sequence)
 
     def test_essdist_skips_negligible_edges(self, tmp_path):
         # triangle with a zero-measure direct edge forcing the detour

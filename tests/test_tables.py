@@ -6,9 +6,12 @@ edges, disconnected parts and edge lengths of 1e-300 and 1e300; Nagata
 and Whitney covers are compared with the constructions they replaced.  The
 chunk size of the batched kernel calls is drawn too, so that one source
 per call, a few per call and all of them in one call are each covered.
+The Poincare scan is also compared, with ``==``, with the per-center loop
+it replaced (``loop_poincare``).
 """
 
 import contextlib
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -24,11 +27,13 @@ import mmgraph.extension as ext_mod
 import mmgraph.graph as graph_mod
 from conftest import make_graph
 from mmgraph import (
+    Ball,
     CertifyError,
     InputError,
     MeshSpec,
     MetricMeasureGraph,
     NagataCover,
+    PoincareRow,
     QCRow,
     QuasiconvexityReport,
     WhitneyData,
@@ -129,6 +134,83 @@ def poincare_rows(G, u, rho, lam, r, radii, exhaustive):
     return rows
 
 
+def loop_poincare(G, u, rho, lam, r, radii=None, exhaustive_radii=False):
+    """``poincare_constant`` as a loop over centers and radii, each ball's
+    diameter the prefix maximum of its center's nearest-first order over
+    the members' whole table rows: the reference the scan must equal."""
+    ids = G.vertex_ids
+    uvals = np.array([float(u[int(v)]) for v in ids])
+    rvals = np.array([float(rho[int(v)]) for v in ids])
+    if radii is None:
+        radii = [r, r / 2, r / 4, r / 8]
+    radii = [float(x) for x in radii]
+    rmax = r * (1 + 1e-12) + 1e-300 if exhaustive_radii else max(radii)
+    table = np.array(list(graph_mod._distance_rows(
+        G, np.arange(G.n_vertices), limit=max(lam, 2.0) * rmax))).reshape(G.n_vertices, -1)
+    best, witness, rows, skipped = 0.0, None, [], 0
+    for ci, full in enumerate(table):
+        near = np.flatnonzero(np.isfinite(full))
+        cid, dist = int(ids[ci]), full[near]
+        mu, u_near, rho_near = G.mu[near], uvals[near], rvals[near]
+        if exhaustive_radii:
+            local = [float(x) * (1 + 1e-12) + 1e-300
+                     for x in np.unique(dist[(dist > 0) & (dist <= r)])]
+        else:
+            local = radii
+        diams = None
+        for rad in local:
+            inside = dist < rad
+            w = mu[inside]
+            m = float(w.sum())
+            if m <= 0:
+                skipped += 1
+                rows.append(PoincareRow(cid, float(rad), 0.0, math.nan, math.nan,
+                                        math.nan, math.nan))
+                continue
+            uu = u_near[inside]
+            seen = uu[w > 0]
+            if seen.min() == seen.max():
+                num = 0.0
+            else:
+                ub = float((w * uu).sum() / m)
+                num = float((w * np.abs(uu - ub)).sum() / m)
+            sup_rho = float(np.max(rho_near[dist < lam * rad]))
+            if num <= 0:
+                rows.append(PoincareRow(cid, float(rad), m, 0.0, sup_rho, math.nan, 0.0))
+                continue
+            if diams is None:
+                nearest = near[np.argsort(dist, kind="stable")]
+                k = np.count_nonzero(dist < max(local))
+                D = table[np.ix_(nearest[:k], nearest[:k])]
+                D = np.maximum(D, D.T)
+                diams = np.maximum.accumulate(np.tril(D).max(axis=1))
+            diam = float(diams[np.count_nonzero(inside) - 1])
+            den = diam * sup_rho
+            val = math.inf if den <= 0 else num / den
+            rows.append(PoincareRow(cid, float(rad), m, num, sup_rho, diam, val))
+            if val > best:
+                best = val
+                witness = Ball(cid, float(rad), tuple(int(ids[k]) for k in near[inside]),
+                               m, False)
+    return best, witness, skipped, rows
+
+
+def same_floats(a, b):
+    """Equal field by field, a nan equal to a nan."""
+    return len(a) == len(b) and all(
+        x == y or (isinstance(x, float) and math.isnan(x) and math.isnan(y))
+        for x, y in zip(a, b)
+    )
+
+
+def assert_matches_loop(rep, G, u, rho, lam, r, radii=None, exhaustive_radii=False):
+    best, witness, skipped, rows = loop_poincare(G, u, rho, lam, r, radii, exhaustive_radii)
+    assert (rep.best_C, rep.witness_ball, rep.skipped_zero_measure) == (best, witness, skipped)
+    assert len(rep.rows) == len(rows)
+    for got, want in zip(rep.rows, rows):
+        assert same_floats(dataclasses.astuple(got), dataclasses.astuple(want)), (got, want)
+
+
 class TestPoincareRows:
     @SETTINGS
     @given(graphs(), CHUNKS, st.data())
@@ -151,6 +233,8 @@ class TestPoincareRows:
                 radii=radii if mode == "explicit" else None,
                 exhaustive_radii=mode == "exhaustive",
             )
+        assert_matches_loop(rep, G, u, rho, lam, r, radii if mode == "explicit" else None,
+                            mode == "exhaustive")
         want = poincare_rows(G, u, rho, lam, r, radii, mode == "exhaustive")
         assert len(rep.rows) == rep.balls_checked == len(want)
         assert rep.skipped_zero_measure == sum(w[2] == 0 for w in want)
@@ -189,6 +273,108 @@ class TestPoincareRows:
                                 radii=[0.51])
         row = next(row for row in rep.rows if row.center == 2)
         assert row.diameter == 0.6000000000000001
+
+    @pytest.mark.parametrize("mode", ["default", "explicit", "exhaustive"])
+    def test_a_long_path_whose_two_directions_round_apart(self, mode):
+        """A 0.3 edge, then forty 0.1 edges: summed from the far end, a
+        pair across the 0.3 edge can come out an ulp longer than from the
+        near end, and every ball's diameter is the longer reading."""
+        m = 41
+        G = make_graph([(v, 1.0) for v in range(m + 1)],
+                       [(v, v + 1, 0.3 if v == 0 else 0.1) for v in range(m)])
+        d = exact_distances(G)
+        assert any(d(a, b) != d(b, a) for a in range(m + 1) for b in range(a))
+        u = {v: float(v % 3) for v in range(m + 1)}
+        rho = {v: 1.0 for v in range(m + 1)}
+        r, radii = 2.0, [2.0, 0.65, 1.45] if mode == "explicit" else None
+        rep = poincare_constant(G, u, rho, lam=1.5, r=r, radii=radii,
+                                exhaustive_radii=mode == "exhaustive")
+        assert_matches_loop(rep, G, u, rho, 1.5, r, radii, mode == "exhaustive")
+        for row in rep.rows:
+            members = [v for v in range(m + 1) if d(row.center, v) < row.radius]
+            if not math.isnan(row.diameter):
+                assert row.diameter == max(d(a, b) for a in members for b in members)
+
+    def test_a_pair_away_from_the_farthest_member_sets_the_diameter(self):
+        """Center 0; 2 and 3 tie at the largest distance 1, so 3 is the
+        farthest member f, and its longest pair (with 1) falls 1e-12 short
+        of the pair 1-2, which the shell must still read."""
+        G = make_graph([(v, 1.0) for v in range(4)], [
+            (0, 2, 1.0), (0, 3, 1.0), (0, 1, 0.9), (3, 2, 1e-12), (3, 1, 1.9 - 1e-12),
+        ])
+        d = exact_distances(G)
+        assert max(d(3, v) for v in range(4)) < d(1, 2) == 1.9
+        rep = poincare_constant(G, {0: 0.0, 1: 1.0, 2: 0.0, 3: 1.0},
+                                {v: 1.0 for v in range(4)}, lam=1.0, r=1.5, radii=[1.5])
+        assert rep.rows[0].diameter == 1.9
+
+    def test_the_shell_keeps_a_pair_that_beats_lb_by_rounding(self):
+        """Around center 3 (radius 0.75...), a pair reads 0.8000000000000002
+        while lb - e puts one of its ends an ulp inside the shell's edge:
+        without the rounding slack the diameter comes out 0.8."""
+        G = make_graph([(v, 1.0) for v in range(9)], [
+            (0, 1, 0.35), (0, 2, 0.3), (0, 5, 0.30000000000000004),
+            (0, 6, 0.30000000000000004), (0, 7, 0.3), (1, 5, 0.2),
+            (1, 6, 0.30000000000000004), (1, 7, 0.4), (2, 3, 0.15), (3, 4, 0.05),
+            (3, 5, 1.2000000000000002), (3, 8, 0.6), (4, 8, 0.8999999999999999),
+            (5, 7, 0.21000000000000002), (5, 8, 0.35), (6, 7, 0.6), (6, 8, 0.7),
+        ])
+        u, rho = {v: float(v % 2) for v in range(9)}, {v: 1.0 for v in range(9)}
+        rep = poincare_constant(G, u, rho, lam=1.0, r=1.0, exhaustive_radii=True)
+        assert_matches_loop(rep, G, u, rho, 1.0, 1.0, None, True)
+        row = next(row for row in rep.rows
+                   if row.center == 3 and row.radius == 0.7500000000007501)
+        assert row.diameter == 0.8000000000000002
+
+
+class TestPoincareMeshes:
+    """The scan equals the per-center loop on meshes, and its temporaries
+    stay bounded."""
+
+    @staticmethod
+    def walled(h):
+        """A unit-square grid whose edges across x = 1/2 have measure 0,
+        except in a gap."""
+        G = gen_grid(h, (0.0, 0.0, 1.0, 1.0))
+        ia, ib, pos = G._edge_ia, G._edge_ib, G.pos
+        lo, hi = np.minimum(pos[ia], pos[ib]), np.maximum(pos[ia], pos[ib])
+        cross = (lo[:, 0] < 0.49) & (hi[:, 0] > 0.49)
+        gap = (lo[:, 1] >= 0.3) & (hi[:, 1] <= 0.4)
+        ids = G.vertex_ids
+        return MetricMeasureGraph.from_arrays(
+            ids, G.mu, pos, ids[ia], ids[ib], G.edge_lengths,
+            np.where(cross & ~gap, 0.0, 1.0),
+        )
+
+    @pytest.mark.parametrize("mesh", ["grid", "walled"])
+    @pytest.mark.parametrize("mode", ["default", "explicit", "exhaustive"])
+    def test_matches_the_loop(self, mesh, mode):
+        G = gen_grid(1 / 24, (0.0, 0.0, 1.0, 1.0)) if mesh == "grid" else self.walled(1 / 24)
+        ids = G.vertex_ids.tolist()
+        x, y = G.pos[:, 0], G.pos[:, 1]
+        u = dict(zip(ids, (np.sin(7 * x) + (x > 0.5) + np.where(y < 0.2, 0.0, y)).tolist()))
+        rho = dict(zip(ids, (1 + y).tolist()))
+        r = 0.08 if mode == "exhaustive" else 0.15
+        radii = [0.15, 0.05, 0.1] if mode == "explicit" else None
+        rep = poincare_constant(G, u, rho, lam=2.0, r=r, radii=radii,
+                                exhaustive_radii=mode == "exhaustive")
+        assert_matches_loop(rep, G, u, rho, 2.0, r, radii, mode == "exhaustive")
+
+    def test_peak_memory_at_h_1_32(self):
+        """The table (105k entries, 1.3 MB) and blocks of bounded
+        temporaries peak at 3.6 MB; one block of every center took 9.4 MB."""
+        G = gen_grid(1 / 32, (0.0, 0.0, 1.0, 1.0))
+        ids = G.vertex_ids.tolist()
+        x, y = G.pos[:, 0], G.pos[:, 1]
+        u = dict(zip(ids, (np.sin(7 * x) + (x > 0.5)).tolist()))
+        rho = dict(zip(ids, (1 + y).tolist()))
+        tracemalloc.start()
+        try:
+            poincare_constant(G, u, rho, lam=2.0, r=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestBatchedCalls:
