@@ -57,7 +57,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .extension import mcshane_extend
-from .graph import Metric, MetricMeasureGraph
+from .graph import Metric, MetricMeasureGraph, _values, _vertex_set
 from .util import InputError
 
 
@@ -72,19 +72,10 @@ class AMLEProblem:
 
     def __post_init__(self):
         self.edge_mask()  # rejects an unknown metric spelling
-        bd = tuple(sorted(int(v) for v in self.boundary))
-        if not bd:
-            raise InputError("boundary must be nonempty")
-        if len(set(bd)) != len(bd):
-            raise InputError("duplicate boundary vertex")
-        for v in bd:
-            self.graph.index_of(v)
-            if v not in self.g:
-                raise InputError(f"boundary data missing at vertex {v}")
-            if not np.isfinite(self.g[v]):
-                raise InputError(f"boundary data not finite at vertex {v}")
-        object.__setattr__(self, "boundary", bd)
-        object.__setattr__(self, "g", {v: float(self.g[v]) for v in bd})
+        bd, _ = _vertex_set(self.graph, self.boundary, "boundary")
+        g = _values(self.g, bd, "boundary data")
+        object.__setattr__(self, "boundary", tuple(bd))
+        object.__setattr__(self, "g", dict(zip(bd, g.tolist())))
 
     def edge_mask(self) -> np.ndarray | None:
         """Edges of the problem's metric; ``None`` when all edges count."""
@@ -310,36 +301,19 @@ def solve_amle(
         else:
             raise InputError(f"unknown init {init!r}")
     else:
-        for i in active_idx:
-            vid = int(ids[i])
-            if vid not in init:
-                raise InputError(f"init field missing vertex {vid}")
-            val = float(init[vid])
-            if not np.isfinite(val):
-                raise InputError(f"init field not finite at vertex {vid}")
-            u[i] = val
+        u[active_idx] = _values(init, ids[active_idx].tolist(), "init field")
 
-    if active_idx.size == 0:
-        return AMLESolution(
-            u={int(ids[i]): float(u[i]) for i in range(G.n_vertices)},
-            residual=0.0,
-            iterations=0,
-            converged=True,
-            degenerate_vertices=degenerate,
-            tol=float(tol),
-            problem=problem,
-        )
-
-    sweep = _Sweep(G._csr(metric), active_idx)
-    iterations = 0
-    while True:
-        # a witness above tol certifies that the residual is above tol
-        if iterations >= max_iter or not sweep.witnessed(u, tol):
-            residual = sweep.residual(u, tol)
-            if residual <= tol or iterations >= max_iter:
-                break
-        sweep.relax(u)
-        iterations += 1
+    residual, iterations = 0.0, 0
+    if active_idx.size:  # else there is nothing to sweep
+        sweep = _Sweep(G._csr(metric), active_idx)
+        while True:
+            # a witness above tol certifies that the residual is above tol
+            if iterations >= max_iter or not sweep.witnessed(u, tol):
+                residual = sweep.residual(u, tol)
+                if residual <= tol or iterations >= max_iter:
+                    break
+            sweep.relax(u)
+            iterations += 1
 
     return AMLESolution(
         u={int(ids[i]): float(u[i]) for i in range(G.n_vertices)},
@@ -433,37 +407,22 @@ def infinity_harmonic_extend(
     whole of Omega is degenerate and reported as such, the regime where
     extension data transfers with no uniqueness.
     """
-    om = sorted(int(v) for v in omega)
-    if not om:
-        raise InputError("Omega must be nonempty")
+    om, omega_idx = _vertex_set(G, omega, "Omega")
     omset = set(om)
-    for v in om:
-        G.index_of(v)
     ids = G.vertex_ids
-    comp = [int(v) for v in ids if int(v) not in omset]
+    comp = [v for v in ids.tolist() if v not in omset]
     if not comp:
         raise InputError("Omega covers the whole graph; nothing to extend from")
-    for v in comp:
-        if v not in g:
-            raise InputError(f"g missing value at complement vertex {v}")
-        if not np.isfinite(g[v]):
-            raise InputError(f"g not finite at vertex {v}")
-
-    omega_idx = [G.index_of(v) for v in om]
+    g = dict(zip(comp, _values(g, comp, "g").tolist()))
     boundary = {int(ids[i]) for i in G._csr("essential")[omega_idx].indices} - omset
 
-    base_u = {v: float(g[v]) for v in comp}
+    base_u = dict(g)
     if not boundary:
         # no positive-measure edge leaves Omega: every Omega vertex is
         # degenerate and the "extension" carries no information
         for v in om:
             base_u[v] = math.nan
-        dummy = AMLEProblem(
-            graph=G,
-            boundary=tuple(comp),
-            g={v: float(g[v]) for v in comp},
-            metric_choice="essential",
-        )
+        dummy = AMLEProblem(graph=G, boundary=tuple(comp), g=g, metric_choice="essential")
         return AMLESolution(
             u=base_u,
             residual=0.0,
@@ -478,7 +437,7 @@ def infinity_harmonic_extend(
     sub = AMLEProblem(
         graph=H,
         boundary=tuple(sorted(boundary)),
-        g={v: float(g[v]) for v in sorted(boundary)},
+        g={v: g[v] for v in sorted(boundary)},
         metric_choice="essential",
     )
     sol = solve_amle(sub, tol=tol, max_iter=max_iter, init="mcshane")

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import graph
-from .graph import Ball, Metric, MetricMeasureGraph, _distance_blocks, _distance_rows
+from .graph import Ball, Metric, MetricMeasureGraph, _distance_blocks, _distance_rows, _values
 from .util import InputError, LENGTH_TOL
 
 #: Scalar and gradient fields are plain mappings vertex id -> value.
@@ -281,7 +281,8 @@ def _worst_pairs(G, ambient, R, chunk, tgt, scanned, chosen):
         )
     within = scanned & (amb < R)
     ratio = np.full(amb.shape, -math.inf)
-    np.divide(chosen, amb, out=ratio, where=within)
+    with np.errstate(over="ignore"):  # a ratio past the float range is inf
+        np.divide(chosen, amb, out=ratio, where=within)
     counts = np.count_nonzero(within, axis=1)
     hit = np.flatnonzero(counts)
     k = ratio[hit].argmax(axis=1)
@@ -421,8 +422,9 @@ def poincare_constant(
         raise InputError("scale r must be positive and finite")
     if not (lam >= 1):
         raise InputError("lambda must be >= 1")
-    uvals = _total_field(G, u, "u")
-    rvals = _total_field(G, rho, "rho", allow_inf=True)
+    ids = G.vertex_ids
+    uvals = _values(u, ids.tolist(), "u")
+    rvals = _values(rho, ids.tolist(), "rho", allow_inf=True)
     if np.any(rvals < 0):
         raise InputError("rho must be nonnegative")
     if radii is None:
@@ -431,7 +433,6 @@ def poincare_constant(
         radii = [float(x) for x in radii]
         if any(not (0 < x <= r * (1 + 1e-9)) for x in radii):
             raise InputError("explicit radii must lie in (0, r]")
-    ids = G.vertex_ids
     # no radius exceeds rmax and a ball of radius rad has diameter below
     # 2 * rad, so one table out to max(lam, 2) * rmax holds every ball,
     # every lam-inflated ball and every distance between ball members
@@ -637,19 +638,6 @@ def _runs(sizes: np.ndarray):
         lo = hi
 
 
-def _total_field(G, f: Mapping[int, float], name: str, allow_inf=False) -> np.ndarray:
-    out = np.empty(G.n_vertices)
-    for i, vid in enumerate(G.vertex_ids):
-        try:
-            v = float(f[int(vid)])
-        except KeyError:
-            raise InputError(f"{name} missing value at vertex {int(vid)}") from None
-        if math.isnan(v) or (not allow_inf and math.isinf(v)):
-            raise InputError(f"{name} has a non-finite value at vertex {int(vid)}")
-        out[i] = v
-    return out
-
-
 # -- Hajlasz transfers -------------------------------------------------------
 
 
@@ -670,7 +658,7 @@ def hajlasz_gradient_from_upper(
         raise InputError("quasiconvexity constant C must be >= 1")
     if not (R > 0):
         raise InputError("scale R must be positive")
-    rvals = _total_field(G, rho, "rho", allow_inf=True)
+    rvals = _values(rho, G.vertex_ids.tolist(), "rho", allow_inf=True)
     reach = C * R
     sups = [np.empty(0)]
     for row, col, d in _sparse_blocks(G, np.arange(G.n_vertices), reach):
@@ -696,9 +684,9 @@ def verify_hajlasz(
     """
     if not (R > 0):
         raise InputError("scale R must be positive")
-    uvals = _total_field(G, u, "u")
-    gvals = _total_field(G, g, "g", allow_inf=True)
     ids = G.vertex_ids
+    uvals = _values(u, ids.tolist(), "u")
+    gvals = _values(g, ids.tolist(), "g", allow_inf=True)
     out: list[dict] = []
     for x, y, d in _sparse_blocks(G, np.arange(G.n_vertices - 1), R):
         keep = (y > x) & (d < R)

@@ -26,7 +26,15 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .graph import Metric, MetricMeasureGraph, _distance_rows, _max_slope, lipschitz_constant
+from .graph import (
+    Metric,
+    MetricMeasureGraph,
+    _distance_rows,
+    _max_slope,
+    _values,
+    _vertex_set,
+    lipschitz_constant,
+)
 from .util import CertifyError, InputError, LENGTH_TOL
 
 
@@ -144,24 +152,6 @@ def as_vector_field(f: Mapping[int, object], norm: str = "max") -> VectorField:
 # -- scalar extension -------------------------------------------------------
 
 
-def _check_omega(G: MetricMeasureGraph, omega, u) -> list[int]:
-    om = sorted(int(v) for v in omega)
-    if not om:
-        raise InputError("Omega must be nonempty")
-    seen = set()
-    for v in om:
-        G.index_of(v)
-        if v in seen:
-            raise InputError(f"duplicate vertex {v} in Omega")
-        seen.add(v)
-        if u is not None:
-            if v not in u:
-                raise InputError(f"boundary data missing at vertex {v}")
-            if not np.isfinite(u[v]):
-                raise InputError(f"boundary data not finite at vertex {v}")
-    return om
-
-
 def mcshane_extend(
     G: MetricMeasureGraph,
     omega: Sequence[int],
@@ -177,14 +167,13 @@ def mcshane_extend(
     overflows the float range.  Scalar targets only: the inf-convolution
     has no vector analog, which is what the Whitney route is for.
     """
-    om = _check_omega(G, omega, u)
+    om, om_idx = _vertex_set(G, omega, "Omega")
+    vals = _values(u, om, "boundary data")
     # resolved once: lipschitz_constant would read an edge predicate as a distance
     metric = G._metric(metric_choice)
-    vals = np.asarray([float(u[v]) for v in om])
     lip = lipschitz_constant(G, dict(zip(om, vals)), metric)
     csr = G._csr(metric)
     n = G.n_vertices
-    om_idx = np.asarray([G.index_of(v) for v in om], dtype=np.int64)
     # only Omega vertices in x's own component compete at x; offsetting by
     # each component's smallest value keeps every weight at most the
     # distance to that minimum, so no weight overflows when L is tiny
@@ -226,9 +215,9 @@ def truncate_extend(
     (unreachable vertices clamp to M as well, the literal value of the
     formula at +inf).
     """
-    om = _check_omega(G, omega, u)
-    tu = mcshane_extend(G, om, u, metric_choice)
-    m = max(abs(float(u[v])) for v in om)
+    omega = [int(v) for v in omega]
+    tu = mcshane_extend(G, omega, u, metric_choice)  # equal to u on Omega
+    m = max(abs(tu[v]) for v in omega)
     return {k: float(min(m, max(-m, v))) for k, v in tu.items()}
 
 
@@ -297,12 +286,7 @@ def nagata_cover(
     """
     if not (s > 0) or not np.isfinite(s):
         raise InputError("scale s must be positive and finite")
-    pts = [int(v) for v in G.vertex_ids] if points is None else sorted(int(v) for v in points)
-    if len(set(pts)) != len(pts):
-        raise InputError("duplicate points")
-    cols = np.asarray([G.index_of(v) for v in pts], dtype=np.int64)
-    if not pts:
-        raise InputError("need at least one point")
+    pts, cols = _vertex_set(G, G.vertex_ids.tolist() if points is None else points, "points")
     probes: list[np.ndarray] = []
     assign, members, wide = _greedy_net(
         G, cols, s, lambda d: probes.append((d <= s / 2.0).nonzero()[0])
@@ -350,13 +334,12 @@ def whitney_cover(
     truncated at d(B_i, Omega), read for both its anchor and its weights
     (delta < 1/2), and one from its anchor for the proximity audit.
     """
-    om = _check_omega(G, omega, None)
+    om, om_idx = _vertex_set(G, omega, "Omega")
     if not (alpha > 0) or not (beta > 0):
         raise InputError("alpha and beta must be positive")
     delta = beta / (2.0 * (beta + 1.0))
     ids = G.vertex_ids
     D = G.distances_from(om, min_only=True)
-    om_idx = np.asarray([G.index_of(v) for v in om], dtype=np.int64)
     ext = np.ones(G.n_vertices, dtype=bool)
     ext[om_idx] = False
     live = ext & np.isfinite(D)
@@ -430,13 +413,11 @@ def whitney_extend(
     partition data is broken.  Vertices excluded from the cover (no path
     to Omega) are omitted from the output.
     """
-    om = _check_omega(G, omega, None)
+    om, _ = _vertex_set(G, omega, "Omega")
     vf = f if isinstance(f, VectorField) else as_vector_field(f)
     if cover.omega != frozenset(om):
         raise CertifyError("cover was built for a different Omega")
-    for v in om:
-        if v not in vf.values:
-            raise InputError(f"boundary data missing at vertex {v}")
+    vals = _values(vf.values, om, "boundary data")
     for z in cover.anchors:
         if z not in vf.values:
             raise InputError(f"anchor {z} lacks boundary data")
@@ -444,14 +425,7 @@ def whitney_extend(
         if not members:
             raise CertifyError(f"block {bi} is empty")
     dim = vf.dim
-    out: dict[int, tuple[float, ...]] = {}
-    for v in om:
-        vec = vf.values[v]
-        if len(vec) != dim:
-            raise InputError("boundary data dimensions disagree")
-        if not np.all(np.isfinite(vec)):
-            raise InputError(f"boundary data not finite at vertex {v}")
-        out[v] = tuple(float(x) for x in vec)
+    out: dict[int, tuple[float, ...]] = dict(zip(om, map(tuple, vals.tolist())))
     for vid, entries in cover.sigma.items():
         total = sum(w for _, w in entries)
         if not (total > 0):
@@ -469,11 +443,6 @@ def vector_lipschitz_constant(
     metric: Metric = None,
 ) -> float:
     """Largest norm(f(x) - f(y)) / d(x, y) over pairs in the field's domain."""
-    keys = sorted(vf.values)
-    if not keys:
-        raise InputError("empty vector field")
-    vals = np.asarray([vf.values[k] for k in keys], dtype=float)
-    bad = ~np.isfinite(vals).all(axis=1)
-    if bad.any():
-        raise InputError(f"non-finite value at vertex {keys[int(np.argmax(bad))]}")
-    return _max_slope(G, keys, vals, vf._norms, metric)
+    keys, idx = _vertex_set(G, vf.values, "vector field")
+    vals = _values(vf.values, keys, "vector field")
+    return _max_slope(G, keys, idx, vals, vf._norms, metric)

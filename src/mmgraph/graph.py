@@ -453,16 +453,69 @@ def _distance_rows(
         yield from rows
 
 
+#: Stands for a vertex that a field has no value at.
+_MISSING = object()
+
+
+def _vertex_set(
+    G: MetricMeasureGraph, vertices: Iterable[int], what: str
+) -> tuple[list[int], np.ndarray]:
+    """The ids of a vertex set in ascending order and their indices.
+
+    ``InputError`` for an empty set, else for the first id, in ascending
+    order, that is unknown or repeated; ``what`` names the set.
+    """
+    ids = sorted(int(v) for v in vertices)
+    if not ids:
+        raise InputError(f"{what} must be nonempty")
+    idx = []
+    for k, v in enumerate(ids):
+        idx.append(G.index_of(v))
+        if k and v == ids[k - 1]:
+            raise InputError(f"duplicate vertex {v} in {what}")
+    return ids, np.asarray(idx, dtype=np.int64)
+
+
+def _values(
+    f: Mapping[int, object], ids: Sequence[int], what: str, allow_inf: bool = False
+) -> np.ndarray:
+    """The float64 values of the field ``f`` at ``ids``, in order: one
+    entry per id, or one row per id when the values are vectors.  Ids
+    that ``f`` has and ``ids`` lacks are ignored.
+
+    ``InputError`` names the first of ``ids`` whose value is missing, is
+    not a number ``float`` can read, or has a NaN or, unless
+    ``allow_inf``, an infinite entry; ``what`` names the field.
+    """
+    rows = [f.get(v, _MISSING) for v in ids]
+    try:
+        vals = np.asarray(rows, dtype=np.float64)
+        if not np.any(np.isnan(vals) if allow_inf else ~np.isfinite(vals)):
+            return vals
+    except (TypeError, ValueError, OverflowError):
+        pass
+    for v, x in zip(ids, rows):
+        if x is _MISSING:
+            raise InputError(f"{what} missing at vertex {v}")
+        try:
+            x = np.asarray(x, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            x = np.nan
+        if np.any(np.isnan(x) if allow_inf else ~np.isfinite(x)):
+            raise InputError(f"{what} not finite at vertex {v}")
+    raise InputError(f"{what} values must share one shape")
+
+
 def _int_column(records: Sequence, key: str, message: str) -> np.ndarray | list:
     """The int64 column of ``key``, or ``InputError(message)`` when a record
-    is not a mapping or its field is missing or not an int (bools
-    included).  A column past the int64 range comes back as a list, for
-    ``_record_arrays`` to reject in its turn."""
+    is not a mapping or its field is missing or not an int (a Python or
+    numpy int; a bool is not one).  A column past the int64 range comes
+    back as a list, for ``_record_arrays`` to reject in its turn."""
     try:
         col = [r.get(key) for r in records]
     except AttributeError:
         raise InputError(message) from None
-    if not all(issubclass(t, int) and t is not bool for t in set(map(type, col))):
+    if not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, col))):
         raise InputError(message)
     try:
         return np.asarray(col, dtype=np.int64)
@@ -483,24 +536,21 @@ def _positions(col: list) -> np.ndarray | None:
     return pos
 
 
-def _record_arrays(
-    vertices: Sequence[Mapping],
-    edges: Sequence[Mapping],
-    ids: np.ndarray | list | None = None,
-    ea: np.ndarray | list | None = None,
-    eb: np.ndarray | list | None = None,
-) -> tuple:
+def _record_arrays(vertices: Sequence[Mapping], edges: Sequence[Mapping]) -> tuple:
     """The seven ``_init_arrays`` columns of vertex and edge records.
 
-    Each key's column is taken once and its element types checked once.
-    ``ids``, ``ea`` and ``eb`` are passed when the caller has taken them.
+    Each key's column is taken once and its element types checked once:
+    ids and endpoints must be ints, the other fields numbers.
     """
+    ids = _int_column(vertices, "id", "vertex id must be an integer")
+    ends = "edge endpoints must be integer vertex ids"
+    ea, eb = _int_column(edges, "a", ends), _int_column(edges, "b", ends)
     try:
-        ids = np.asarray([v["id"] for v in vertices] if ids is None else ids, dtype=np.int64)
+        ids = np.asarray(ids, dtype=np.int64)
         mu = _floats([v["mu"] for v in vertices], "vertex mu")
         pos = _positions([v.get("pos") for v in vertices])
-        ea = np.asarray([e["a"] for e in edges] if ea is None else ea, dtype=np.int64)
-        eb = np.asarray([e["b"] for e in edges] if eb is None else eb, dtype=np.int64)
+        ea = np.asarray(ea, dtype=np.int64)
+        eb = np.asarray(eb, dtype=np.int64)
         elen = _floats([e["len"] for e in edges], "edge len")
         emu = _floats([e["mu_edge"] for e in edges], "edge mu_edge")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -515,10 +565,7 @@ def graph_from_dict(data: Mapping) -> MetricMeasureGraph:
     vertices, edges = data["vertices"], data["edges"]
     if not isinstance(vertices, (list, tuple)) or not isinstance(edges, (list, tuple)):
         raise InputError("graph JSON 'vertices' and 'edges' must be lists")
-    ids = _int_column(vertices, "id", "vertex id must be an integer")
-    ends = "edge endpoints must be integer vertex ids"
-    ea, eb = _int_column(edges, "a", ends), _int_column(edges, "b", ends)
-    return MetricMeasureGraph.from_arrays(*_record_arrays(vertices, edges, ids, ea, eb))
+    return MetricMeasureGraph(vertices, edges)
 
 
 def load_graph(path: str | os.PathLike) -> MetricMeasureGraph:
@@ -752,37 +799,32 @@ def lipschitz_constant(
 ) -> float:
     """Largest ratio ``|u(x) - u(y)| / metric(x, y)`` over pairs in ``u``.
 
-    ``u`` may cover only part of the vertex set; the supremum runs over
-    pairs of its keys.  Pairs at infinite distance are skipped.  ``metric``
-    is the graph metric by default, ``"essential"`` for the metric of the
-    positive-measure subgraph, a bool edge mask for the metric of that
-    edge subset, or a callable distance on vertex-id pairs (an
-    :class:`Edge` predicate is not a distance and raises TypeError here).
+    ``u`` must be nonempty and may cover only part of the vertex set; the
+    supremum runs over pairs of its keys.  Pairs at infinite distance are
+    skipped.  ``metric`` is the graph metric by default, ``"essential"``
+    for the metric of the positive-measure subgraph, a bool edge mask for
+    the metric of that edge subset, or a callable distance on vertex-id
+    pairs (an :class:`Edge` predicate is not a distance and raises
+    TypeError here).
     When no edge of the metric leaves the keys, they are whole components
     and the constant is the largest edge slope ``|u(a) - u(b)| / len``;
     otherwise one search from the keys gives every pair distance.
     """
-    if G.n_vertices == 0:
-        raise InputError("lipschitz_constant of an empty graph")
-    keys = sorted(int(k) for k in u.keys())
-    for k in keys:
-        G.index_of(k)
-        if not np.isfinite(u[k]):
-            raise InputError(f"non-finite value at vertex {k}")
-    vals = np.asarray([float(u[k]) for k in keys])
+    keys, idx = _vertex_set(G, u, "u")
+    vals = _values(u, keys, "u")
     if callable(metric):
         i, j = np.triu_indices(len(keys), k=1)
         d = [float(metric(keys[a], keys[b])) for a, b in zip(i, j)]
         return _max_ratio(np.abs(vals[i] - vals[j]), np.asarray(d))
-    return _max_slope(G, keys, vals, np.abs, metric)
+    return _max_slope(G, keys, idx, vals, np.abs, metric)
 
 
-def _max_slope(G, keys, vals, size, metric) -> float:
+def _max_slope(G, keys, idx, vals, size, metric) -> float:
     """Largest ``size(vals[a] - vals[b]) / d(keys[a], keys[b])`` over pairs of
-    keys: ``vals`` holds one value (or row) per key, and ``size`` maps the
-    differences of many pairs to their sizes (``abs``, or a vector norm)."""
+    keys, whose vertex indices are ``idx``: ``vals`` holds one value (or
+    row) per key, and ``size`` maps the differences of many pairs to their
+    sizes (``abs``, or a vector norm)."""
     metric = G._metric(metric)
-    idx = np.asarray([G.index_of(k) for k in keys], dtype=np.int64)
     pos = np.full(G.n_vertices, -1, dtype=np.int64)
     pos[idx] = np.arange(idx.size)
     keep = G.edge_mask(metric)

@@ -23,6 +23,28 @@ _MAX_LATTICE = 30_000_000
 _CUSP_CENTER = (3.0, 0.0)
 _CUSP_RADIUS_SQ = 5.0
 
+#: The lattice neighbours (i + di, j + dj) that each point (i, j) has an
+#: edge to, with the edge's length in mesh steps: the two axes, then the
+#: two diagonals.
+_STENCIL = ((1, 0, 1.0), (0, 1, 1.0), (1, 1, math.sqrt(2.0)), (1, -1, math.sqrt(2.0)))
+
+
+def _stencil_edges(node: np.ndarray, h: float):
+    """Endpoints and lengths of the lattice edges of mesh step ``h``
+    between the points where ``node``, an (nx, ny) array of vertex
+    numbers, is not -1: offset by offset of ``_STENCIL``, each in
+    row-major order of the first endpoint."""
+    nx, ny = node.shape
+    ea, eb, elen = [], [], []
+    for di, dj, steps in _STENCIL:
+        a = node[max(0, -di):nx - max(0, di), max(0, -dj):ny - max(0, dj)]
+        b = node[max(0, di):nx - max(0, -di), max(0, dj):ny - max(0, -dj)]
+        both = (a >= 0) & (b >= 0)
+        ea.append(a[both])
+        eb.append(b[both])
+        elen.append(np.full(ea[-1].size, h * steps))
+    return np.concatenate(ea), np.concatenate(eb), np.concatenate(elen)
+
 
 def _lattice_graph(
     x0: float,
@@ -38,7 +60,6 @@ def _lattice_graph(
     position (x0 + i h, y0 + j h).  Vertex ids are the row-major rank
     among kept points.
     """
-    nx, ny = keep.shape
     idx = np.full(keep.shape, -1, dtype=np.int64)
     idx[keep] = np.arange(int(keep.sum()))
     n = int(keep.sum())
@@ -47,28 +68,7 @@ def _lattice_graph(
     ii, jj = np.nonzero(keep)
     pos = np.column_stack([x0 + ii * h, y0 + jj * h])
     ids = idx[keep]
-
-    ea, eb, elen = [], [], []
-    diag = h * math.sqrt(2.0)
-    for di, dj, length in ((1, 0, h), (0, 1, h), (1, 1, diag), (1, -1, diag)):
-        if di == 1 and dj == 0:
-            a = keep[:-1, :] & keep[1:, :]
-            sa, sb = idx[:-1, :][a], idx[1:, :][a]
-        elif di == 0 and dj == 1:
-            a = keep[:, :-1] & keep[:, 1:]
-            sa, sb = idx[:, :-1][a], idx[:, 1:][a]
-        elif dj == 1:
-            a = keep[:-1, :-1] & keep[1:, 1:]
-            sa, sb = idx[:-1, :-1][a], idx[1:, 1:][a]
-        else:
-            a = keep[:-1, 1:] & keep[1:, :-1]
-            sa, sb = idx[:-1, 1:][a], idx[1:, :-1][a]
-        ea.append(sa)
-        eb.append(sb)
-        elen.append(np.full(sa.size, length))
-    ea = np.concatenate(ea)
-    eb = np.concatenate(eb)
-    elen = np.concatenate(elen)
+    ea, eb, elen = _stencil_edges(idx, h)
     return MetricMeasureGraph.from_arrays(
         ids=ids,
         mu=mu[keep],
@@ -256,7 +256,6 @@ def _polyline_distances(px: np.ndarray, py: np.ndarray, E: Sequence) -> np.ndarr
 
 
 def _collapse(
-    G_keep: np.ndarray,
     x0: float,
     y0: float,
     h: float,
@@ -267,17 +266,15 @@ def _collapse(
     """Contract each labeled lattice set to a single measure-0 vertex.
 
     ``S_labels`` is (nx, ny): -1 for ordinary points, or the index of the
-    continuum the point collapses into.
+    continuum the point collapses into.  Of parallel edges the shortest
+    is kept, and edges are ordered by their (smaller, larger) endpoints.
     """
-    nx, ny = G_keep.shape
-    plain = G_keep & (S_labels < 0)
-    new_idx = np.full(G_keep.shape, -1, dtype=np.int64)
-    new_idx[plain] = np.arange(int(plain.sum()))
+    plain = S_labels < 0
     k = int(plain.sum())
-    node_of = np.where(plain, new_idx, np.where(G_keep, k + S_labels, -1))
+    node_of = k + S_labels
+    node_of[plain] = np.arange(k)
 
     ii, jj = np.nonzero(plain)
-    ids = list(range(k + n_collapsed))
     pos = np.zeros((k + n_collapsed, 2))
     pos[:k, 0] = x0 + ii * h
     pos[:k, 1] = y0 + jj * h
@@ -286,37 +283,20 @@ def _collapse(
     mu = np.zeros(k + n_collapsed)
     mu[:k] = h * h
 
-    best: dict[tuple[int, int], float] = {}
-    diag = h * math.sqrt(2.0)
-    slabs = (
-        ((slice(0, nx - 1), slice(0, ny)), (slice(1, nx), slice(0, ny)), h),
-        ((slice(0, nx), slice(0, ny - 1)), (slice(0, nx), slice(1, ny)), h),
-        ((slice(0, nx - 1), slice(0, ny - 1)), (slice(1, nx), slice(1, ny)), diag),
-        ((slice(0, nx - 1), slice(1, ny)), (slice(1, nx), slice(0, ny - 1)), diag),
-    )
-    for a_sl, b_sl, length in slabs:
-        both = G_keep[a_sl] & G_keep[b_sl]
-        na = node_of[a_sl][both]
-        nb = node_of[b_sl][both]
-        for a, b in zip(na, nb):
-            if a == b:
-                continue
-            key = (int(min(a, b)), int(max(a, b)))
-            cur = best.get(key)
-            if cur is None or length < cur:
-                best[key] = length
-    keys = sorted(best)
-    ea = np.asarray([a for a, _ in keys], dtype=np.int64)
-    eb = np.asarray([b for _, b in keys], dtype=np.int64)
-    elen = np.asarray([best[key] for key in keys])
+    na, nb, elen = _stencil_edges(node_of, h)
+    keep = na != nb
+    ea, eb, elen = np.minimum(na, nb)[keep], np.maximum(na, nb)[keep], elen[keep]
+    order = np.lexsort((elen, eb, ea))
+    ea, eb, elen = ea[order], eb[order], elen[order]
+    first = np.r_[True, (ea[1:] != ea[:-1]) | (eb[1:] != eb[:-1])]
     return MetricMeasureGraph.from_arrays(
-        ids=np.asarray(ids, dtype=np.int64),
+        ids=np.arange(k + n_collapsed),
         mu=mu,
         pos=pos,
-        edge_a=ea,
-        edge_b=eb,
-        edge_len=elen,
-        edge_mu=np.ones(ea.size),
+        edge_a=ea[first],
+        edge_b=eb[first],
+        edge_len=elen[first],
+        edge_mu=np.ones(np.count_nonzero(first)),
     )
 
 
@@ -371,8 +351,7 @@ def gen_multi_collapse(
             raise InputError("continua overlap at mesh scale h")
         labels[inside] = c
         centroids.append((float(pts[:, 0].mean()), float(pts[:, 1].mean())))
-    keep = np.ones((nx, ny), dtype=bool)
-    return _collapse(keep, x0, y0, h, labels, len(E_list), centroids)
+    return _collapse(x0, y0, h, labels, len(E_list), centroids)
 
 
 # -- simplicial complexes ----------------------------------------------------

@@ -116,6 +116,17 @@ class TestQuasiconvexity:
         rep = quasiconvexity_constant(G, ambient="euclidean")
         assert rep.C == np.inf
 
+    def test_ratio_past_float_range_gives_inf(self):
+        # 1e300 over 1e-28 overflows: the ratio rounds to inf, not a warning
+        G = make_graph(
+            [(0, 1.0, (0, 0)), (1, 1.0, (1e-28, 0))],
+            [(0, 1, 1e300)],
+        )
+        rep = quasiconvexity_constant(G, ambient="euclidean")
+        assert rep.C == np.inf
+        assert tuple(rep.worst_pair) == (0, 1)
+        assert rep.rows[0].chosen == 1e300
+
     def test_essential_metric_choice(self):
         G = make_graph(
             [(0, 1.0, (0, 0)), (1, 1.0, (1, 0)), (2, 1.0, (0.5, 2.0))],

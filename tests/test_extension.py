@@ -337,7 +337,7 @@ class TestVectorField:
         vf = VectorField({4: (math.nan, 0.0), 0: (0.0, 1.0), 2: (1.0, bad)})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InputError, match=r"^non-finite value at vertex 2$"):
+            with pytest.raises(InputError, match=r"^vector field not finite at vertex 2$"):
                 vector_lipschitz_constant(G, vf, metric)
 
 

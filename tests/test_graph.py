@@ -86,6 +86,33 @@ class TestValidation:
         with pytest.raises(InputError, match="unknown vertex id"):
             make_graph(vertices, [(0, 1, 1.0), (1, 0, 1.0), (1, 7, 1.0)])
 
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            ([{"id": 1.7, "mu": 1.0}], [], "vertex id must be an integer"),
+            ([{"id": False, "mu": 1.0}], [], "vertex id must be an integer"),
+            (
+                [{"id": 0, "mu": 1.0}, {"id": 1, "mu": 1.0}],
+                [{"a": 0, "b": 1.2, "len": 1.0, "mu_edge": 1.0}],
+                "edge endpoints must be integer vertex ids",
+            ),
+        ],
+        ids=["float id", "bool id", "float endpoint"],
+    )
+    def test_records_are_read_as_graph_from_dict_reads_them(self, vertices, edges, message):
+        """No id or endpoint is truncated to an int on the way in."""
+        with pytest.raises(InputError, match=f"^{message}$"):
+            MetricMeasureGraph(vertices, edges)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            graph_from_dict({"vertices": vertices, "edges": edges})
+
+    def test_numpy_int_ids_are_ints(self):
+        G = MetricMeasureGraph(
+            [{"id": np.int64(3), "mu": 1.0}, {"id": np.int32(5), "mu": 1.0}],
+            [{"a": np.int64(5), "b": 3, "len": 1.0, "mu_edge": 1.0}],
+        )
+        assert G.vertex_ids.tolist() == [3, 5]
+
     def test_partial_positions_rejected(self):
         with pytest.raises(InputError):
             MetricMeasureGraph(

@@ -1,0 +1,191 @@
+"""One input policy for vertex sets and vertex fields at every entry point.
+
+A vertex set (Omega, a boundary, Nagata points, a field's keys) must be
+nonempty, with known and distinct ids.  A field must have a number at
+every vertex it is read at; NaN is never accepted, an infinity only
+where noted.  The first failure in ascending id order is named, and set
+errors come before value errors.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from mmgraph import (
+    AMLEProblem,
+    InputError,
+    VectorField,
+    hajlasz_gradient_from_upper,
+    infinity_harmonic_extend,
+    lipschitz_constant,
+    mcshane_extend,
+    nagata_cover,
+    poincare_constant,
+    solve_amle,
+    truncate_extend,
+    vector_lipschitz_constant,
+    verify_hajlasz,
+    whitney_cover,
+    whitney_extend,
+)
+
+from conftest import path_graph
+
+G = path_graph(5)
+COVER = whitney_cover(G, [0, 4])
+PROBLEM = AMLEProblem(G, (0, 4), {0: 0.0, 4: 1.0})
+TOTAL = {v: 1.0 for v in range(5)}
+
+
+def _vf(f):
+    return VectorField({v: (x,) for v, x in f.items()})
+
+
+#: name -> (call(vertices, field), set name, field name, vertices, field,
+#: vertex the field cases spoil, whether the field may be infinite).  A
+#: None name means the site reads no such input.
+SITES = {
+    "mcshane_extend": (
+        lambda om, f: mcshane_extend(G, om, f),
+        "Omega", "boundary data", [0, 4], {0: 0.0, 4: 1.0}, 4, False,
+    ),
+    "truncate_extend": (
+        lambda om, f: truncate_extend(G, om, f),
+        "Omega", "boundary data", [0, 4], {0: 0.0, 4: 1.0}, 4, False,
+    ),
+    "whitney_cover": (
+        lambda om, f: whitney_cover(G, om), "Omega", None, [0, 4], None, None, False,
+    ),
+    "whitney_extend": (
+        lambda om, f: whitney_extend(G, om, _vf(f), COVER),
+        "Omega", "boundary data", [0, 4], {0: 0.0, 4: 1.0}, 4, False,
+    ),
+    "nagata_cover": (
+        lambda om, f: nagata_cover(G, 1.0, points=om), "points", None, [0, 4], None, None, False,
+    ),
+    "AMLEProblem": (
+        lambda om, f: AMLEProblem(G, tuple(om), f),
+        "boundary", "boundary data", [0, 4], {0: 0.0, 4: 1.0}, 4, False,
+    ),
+    "infinity_harmonic_extend": (
+        lambda om, f: infinity_harmonic_extend(G, om, f),
+        "Omega", "g", [1, 2, 3], {0: 0.0, 4: 1.0}, 4, False,
+    ),
+    "solve_amle init": (
+        lambda om, f: solve_amle(PROBLEM, init=f),
+        None, "init field", None, {1: 0.2, 2: 0.5, 3: 0.8}, 2, False,
+    ),
+    "poincare_constant u": (
+        lambda om, f: poincare_constant(G, f, TOTAL, 1.0, 1.0),
+        None, "u", None, TOTAL, 2, False,
+    ),
+    "poincare_constant rho": (
+        lambda om, f: poincare_constant(G, TOTAL, f, 1.0, 1.0),
+        None, "rho", None, TOTAL, 2, True,
+    ),
+    "hajlasz_gradient_from_upper rho": (
+        lambda om, f: hajlasz_gradient_from_upper(G, f, 1.0, 1.0),
+        None, "rho", None, TOTAL, 2, True,
+    ),
+    "verify_hajlasz u": (
+        lambda om, f: verify_hajlasz(G, f, TOTAL, 1.0), None, "u", None, TOTAL, 2, False,
+    ),
+    "verify_hajlasz g": (
+        lambda om, f: verify_hajlasz(G, TOTAL, f, 1.0), None, "g", None, TOTAL, 2, True,
+    ),
+}
+
+#: The sites whose vertex set is the keys of their field: a mapping's
+#: keys cannot repeat and none lacks a value, so they have no duplicate
+#: or missing case.
+KEY_SITES = {
+    "lipschitz_constant": (lambda om, f: lipschitz_constant(G, f), "u"),
+    "vector_lipschitz_constant": (
+        lambda om, f: vector_lipschitz_constant(G, _vf(f)), "vector field",
+    ),
+}
+
+SPOILERS = {"NaN": math.nan, "+inf": math.inf, "-inf": -math.inf, "non-number": "abc"}
+
+
+def _cases():
+    for name, (call, set_name, field_name, om, f, at, allow_inf) in SITES.items():
+        if set_name is not None:
+            yield name, "empty", call, [], f, f"{set_name} must be nonempty"
+            yield name, "unknown id", call, om + [99], f, "unknown vertex id 99"
+            twice = f"duplicate vertex {om[0]} in {set_name}"
+            yield name, "duplicate", call, om + [om[0]], f, twice
+        if field_name is None:
+            continue
+        missing = {v: x for v, x in f.items() if v != at}
+        yield name, "missing", call, om, missing, f"{field_name} missing at vertex {at}"
+        for spoil, value in SPOILERS.items():
+            if allow_inf and spoil.endswith("inf"):
+                continue
+            yield name, spoil, call, om, {**f, at: value}, f"{field_name} not finite at vertex {at}"
+    for name, (call, what) in KEY_SITES.items():
+        f = {0: 0.0, 2: 1.0, 4: 0.5}
+        yield name, "empty", call, None, {}, f"{what} must be nonempty"
+        yield name, "unknown id", call, None, {**f, 99: 0.0}, "unknown vertex id 99"
+        for spoil, value in SPOILERS.items():
+            yield name, spoil, call, None, {**f, 2: value}, f"{what} not finite at vertex 2"
+
+
+CASES = list(_cases())
+
+
+@pytest.mark.parametrize(
+    "call, vertices, field, message",
+    [case[2:] for case in CASES],
+    ids=[f"{name}-{case}" for name, case, *_ in CASES],
+)
+def test_every_entry_point_rejects_bad_input_with_one_message(call, vertices, field, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call(vertices, field)
+
+
+@pytest.mark.parametrize("name", [name for name, site in SITES.items() if site[6]])
+def test_rho_and_g_may_be_infinite(name):
+    call, _, _, om, f, at, _ = SITES[name]
+    call(om, {**f, at: math.inf})
+
+
+@pytest.mark.parametrize("name", [name for name, site in SITES.items() if site[2]])
+def test_good_input_and_extra_ids_are_accepted(name):
+    call, _, _, om, f, _, _ = SITES[name]
+    call(om, f)
+    call(om, {**f, 99: math.nan, -1: "abc"})  # ids the field is not read at
+
+
+def test_the_first_failure_in_ascending_order_is_named():
+    with pytest.raises(InputError, match="^boundary data missing at vertex 0$"):
+        mcshane_extend(G, [4, 2, 0], {4: 1.0, 2: math.nan})
+    with pytest.raises(InputError, match="^boundary data not finite at vertex 2$"):
+        mcshane_extend(G, [4, 2, 0], {0: 1.0, 2: math.nan})
+    with pytest.raises(InputError, match="^duplicate vertex 1 in Omega$"):
+        mcshane_extend(G, [99, 1, 1], {1: 0.0})
+    with pytest.raises(InputError, match="^unknown vertex id -5$"):
+        mcshane_extend(G, [1, 1, -5], {1: 0.0})
+
+
+def test_set_errors_come_before_value_errors():
+    with pytest.raises(InputError, match="^duplicate vertex 4 in boundary$"):
+        AMLEProblem(G, (4, 4, 0), {0: math.nan})
+    with pytest.raises(InputError, match="^unknown vertex id 7$"):
+        lipschitz_constant(G, {0: math.nan, 7: 1.0})
+
+
+def test_an_init_field_with_no_active_vertex_is_empty():
+    problem = AMLEProblem(G, tuple(range(5)), {v: float(v) for v in range(5)})
+    sol = solve_amle(problem, init={})
+    assert (sol.residual, sol.iterations, sol.converged) == (0.0, 0, True)
+    assert sol.u == problem.g
+
+
+def test_vector_fields_are_read_row_by_row():
+    vf = VectorField({0: (0.0, 1.0), 4: (1.0, math.inf)})
+    with pytest.raises(InputError, match="^boundary data not finite at vertex 4$"):
+        whitney_extend(G, [0, 4], vf, COVER)
+    F = whitney_extend(G, [0, 4], VectorField({0: (0.0, 1.0), 4: (1.0, np.float64(2.0))}), COVER)
+    assert F.values[4] == (1.0, 2.0)

@@ -479,9 +479,11 @@ def qc_oracle(G, ambient, R, metric, seed, max_pairs, exhaustive_limit):
         if cols.size == 0:
             return 0, None
         dist = np.array([d(int(ids[i]), int(ids[j])) for j in cols])
-        k = int(np.argmax(dist / amb))
+        with np.errstate(over="ignore"):  # a ratio past the float range is inf
+            ratio = dist / amb
+        k = int(np.argmax(ratio))
         row = QCRow(int(ids[i]), int(ids[cols[k]]), float(amb[k]), float(dist[k]),
-                    float(dist[k] / amb[k]))
+                    float(ratio[k]))
         return cols.size, row
 
     exhaustive = n <= exhaustive_limit
@@ -672,7 +674,7 @@ class TestNagataOracle:
 def dense_whitney(G, omega, alpha=2.0, beta=0.5):
     """``whitney_cover`` as built by a per-center greedy net over each annulus,
     one full kernel call per center and four per block."""
-    om = ext_mod._check_omega(G, omega, None)
+    om = sorted(int(v) for v in omega)
     if not (alpha > 0) or not (beta > 0):
         raise InputError("alpha and beta must be positive")
     delta = beta / (2.0 * (beta + 1.0))
