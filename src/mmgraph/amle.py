@@ -329,33 +329,27 @@ def solve_amle(
 def check_amle_local(u: Mapping[int, float], problem: AMLEProblem) -> dict[int, float]:
     """Per-interior-vertex slope imbalance |max up-slope - max down-slope|.
 
-    Requires ``u`` to equal the boundary data exactly.  Interior vertices
+    Requires ``u`` to equal the boundary data exactly and to be a finite
+    number at every interior vertex with an edge and at its neighbours;
+    ``InputError`` names the first missing or bad value, boundary first,
+    then in id order.  Interior vertices
     with no edges under the problem's metric choice get residual 0 (the
     balance condition is vacuous there, the degenerate regime); every
     other vertex reads inf only when its imbalance is past the float range.
     """
     G = problem.graph
     ids = G.vertex_ids
-    for v in problem.boundary:
-        if v not in u:
-            raise InputError(f"u missing boundary vertex {v}")
-        if float(u[v]) != problem.g[v]:
+    for v, x in zip(problem.boundary, _values(u, problem.boundary, "u").tolist()):
+        if x != problem.g[v]:
             raise InputError(f"u differs from boundary data at vertex {v}")
     bset = set(problem.boundary)
     rows = np.asarray([i for i, v in enumerate(ids.tolist()) if v not in bset], dtype=np.intp)
     sub = G._csr(problem.metric_choice)[rows]
     owner, heads = np.repeat(rows, np.diff(sub.indptr)), sub.indices
-    have = np.zeros(G.n_vertices, dtype=bool)
+    # the interior rows with edges and their neighbours, in id order
+    read = np.unique(np.concatenate([owner, heads]))
     val = np.full(G.n_vertices, math.nan)
-    for i in np.unique(np.concatenate([owner, heads])).tolist():
-        if int(ids[i]) in u:
-            have[i], val[i] = True, float(u[int(ids[i])])
-    fin = np.isfinite(val)  # False where missing too
-    bad = np.flatnonzero(~(fin[owner] & fin[heads]))
-    if bad.size:  # the first such edge in row order names the vertex
-        a, b = owner[bad[0]], heads[bad[0]]
-        what = "not finite" if have[a] and have[b] else "missing a value"
-        raise InputError(f"u {what} near vertex {int(ids[a])}")
+    val[read] = _values(u, ids[read].tolist(), "u")
     res = np.zeros(rows.size)
     edged = np.diff(sub.indptr) > 0
     if edged.any():

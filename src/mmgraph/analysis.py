@@ -13,10 +13,8 @@ upper-gradient style data and Hajlasz gradients.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -24,7 +22,7 @@ import numpy as np
 
 from . import graph
 from .graph import Ball, Metric, MetricMeasureGraph, _distance_blocks, _distance_rows, _values
-from .util import InputError, LENGTH_TOL
+from .util import InputError, LENGTH_TOL, table_text
 
 #: Scalar and gradient fields are plain mappings vertex id -> value.
 ScalarField = Mapping[int, float]
@@ -38,13 +36,11 @@ class NegligibleMark:
     edge_indices: tuple[int, ...]
 
 
-def _csv_table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([x if isinstance(x, int) else repr(float(x)) for x in row])
-    return buf.getvalue()
+def _rows_csv(row_type: type, rows: Sequence) -> str:
+    """The table of dataclass rows: one column per field of ``row_type``,
+    in declaration order, headed by the field names."""
+    names = [f.name for f in fields(row_type)]
+    return table_text(names, [[getattr(row, name) for row in rows] for name in names])
 
 
 @dataclass(frozen=True)
@@ -91,10 +87,7 @@ class QuasiconvexityReport:
         }
 
     def to_csv(self) -> str:
-        return _csv_table(
-            ("source", "target", "ambient", "chosen", "ratio"),
-            [(r.source, r.target, r.ambient, r.chosen, r.ratio) for r in self.rows],
-        )
+        return _rows_csv(QCRow, self.rows)
 
 
 @dataclass(frozen=True)
@@ -113,27 +106,10 @@ class DoublingReport:
     rows: tuple[DoublingRow, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "center": row.center,
-                    "r": row.r,
-                    "inner_measure": row.inner_measure,
-                    "outer_measure": row.outer_measure,
-                    "ratio": row.ratio,
-                }
-                for row in self.rows
-            ]
-        }
+        return {"rows": [dict(vars(row)) for row in self.rows]}
 
     def to_csv(self) -> str:
-        return _csv_table(
-            ("center", "r", "inner_measure", "outer_measure", "ratio"),
-            [
-                (r.center, r.r, r.inner_measure, r.outer_measure, r.ratio)
-                for r in self.rows
-            ],
-        )
+        return _rows_csv(DoublingRow, self.rows)
 
 
 @dataclass(frozen=True)
@@ -192,19 +168,7 @@ class PoincareReport:
         }
 
     def to_csv(self) -> str:
-        return _csv_table(
-            (
-                "center", "radius", "measure", "oscillation", "sup_rho",
-                "diameter", "C",
-            ),
-            [
-                (
-                    r.center, r.radius, r.measure, r.oscillation, r.sup_rho,
-                    r.diameter, r.C,
-                )
-                for r in self.rows
-            ],
-        )
+        return _rows_csv(PoincareRow, self.rows)
 
 
 # -- essential metric ------------------------------------------------------

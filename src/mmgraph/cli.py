@@ -12,9 +12,7 @@ invariant failure, 4 solver non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import itertools
 import json
 import math
 import sys
@@ -40,6 +38,8 @@ from .util import (
     json_ready,
     parse_float_list,
     parse_int_list,
+    read_table,
+    table_text,
 )
 
 
@@ -54,94 +54,42 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _write_report(path: str | None, payload: dict) -> None:
-    body = dict(payload)
-    body["schema_version"] = SCHEMA_VERSION
+def _write_report(args, payload: dict) -> None:
+    """Write ``payload`` to ``--report`` with the envelope every report
+    carries: the subcommand, the seed and the schema version."""
+    body = dict(payload, command=args.subcommand, seed=args.seed,
+                schema_version=SCHEMA_VERSION)
     buf = io.StringIO()
     dump_json(json_ready(body), buf)
-    _write_text(path, buf.getvalue())
+    _write_text(args.report, buf.getvalue())
 
 
-#: Rows per ``%`` template in ``_scalar_rows``.
-_CSV_BLOCK = 4096
-
-
-def _scalar_rows(ids: Sequence[int], values: Sequence[float]) -> str:
-    """The vertex_id,value table of parallel ids and values, in their
-    order, one ``%`` template per block of at most ``_CSV_BLOCK`` rows:
-    the bytes ``csv.writer`` writes for ``[vid, repr(value)]`` rows."""
-    parts = ["vertex_id,value\n"]
-    for start in range(0, len(ids), _CSV_BLOCK):
-        block = slice(start, start + _CSV_BLOCK)
-        row = tuple(itertools.chain.from_iterable(zip(ids[block], values[block])))
-        parts.append("%d,%r\n" * (len(row) // 2) % row)
-    return "".join(parts)
+def _write_analysis(args, report) -> None:
+    """The report of an analysis and, under ``--csv``, its per-row table."""
+    _write_report(args, report.to_dict())
+    if args.csv:
+        _write_text(args.csv, report.to_csv())
 
 
 def _scalar_csv(values: Mapping[int, float]) -> str:
     ids = sorted(values)
-    return _scalar_rows(ids, [float(values[vid]) for vid in ids])
+    return table_text(("vertex_id", "value"), (ids, [float(values[vid]) for vid in ids]))
 
 
 def _vector_csv(values: Mapping[int, tuple]) -> str:
-    dim = len(next(iter(values.values())))
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["vertex_id"] + [f"v{k}" for k in range(dim)])
-    for vid in sorted(values):
-        w.writerow([vid] + [repr(float(c)) for c in values[vid]])
-    return buf.getvalue()
-
-
-def _read_rows(path: str) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    if not rows:
-        raise InputError(f"{path}: empty table")
-    head = rows[0]
-    try:
-        int(head[0])
-    except ValueError:
-        rows = rows[1:]
-    return rows
+    ids = sorted(values)
+    rows = np.array([values[vid] for vid in ids], dtype=np.float64)
+    return table_text(["vertex_id"] + [f"v{k}" for k in range(rows.shape[1])], [ids, *rows.T])
 
 
 def read_scalar_csv(path: str) -> dict[int, float]:
     """Read a vertex_id,value table (header optional)."""
-    out: dict[int, float] = {}
-    for row in _read_rows(path):
-        if len(row) != 2:
-            raise InputError(f"{path}: expected 2 columns, got {len(row)}")
-        try:
-            vid, val = int(row[0]), float(row[1])
-        except ValueError as exc:
-            raise InputError(f"{path}: bad row {row}: {exc}") from exc
-        if vid in out:
-            raise InputError(f"{path}: duplicate vertex id {vid}")
-        out[vid] = val
-    return out
+    return {vid: x for vid, (x,) in read_table(path, 2).items()}
 
 
 def read_vector_csv(path: str) -> dict[int, tuple]:
     """Read a vertex_id,v0,...,v{d-1} table (header optional)."""
-    out: dict[int, tuple] = {}
-    width = None
-    for row in _read_rows(path):
-        if len(row) < 2:
-            raise InputError(f"{path}: expected at least 2 columns")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise InputError(f"{path}: ragged rows")
-        try:
-            vid = int(row[0])
-            vec = tuple(float(c) for c in row[1:])
-        except ValueError as exc:
-            raise InputError(f"{path}: bad row {row}: {exc}") from exc
-        if vid in out:
-            raise InputError(f"{path}: duplicate vertex id {vid}")
-        out[vid] = vec
-    return out
+    return {vid: tuple(x) for vid, x in read_table(path).items()}
 
 
 def _load_spec(text: str) -> dict:
@@ -167,17 +115,8 @@ def cmd_gen(args) -> int:
     G = spec.build()
     save_graph(G, args.out)
     if args.report:
-        _write_report(
-            args.report,
-            {
-                "command": "gen",
-                "seed": args.seed,
-                "kind": spec.kind,
-                "n_vertices": G.n_vertices,
-                "n_edges": G.n_edges,
-                "total_measure": G.total_measure(),
-            },
-        )
+        _write_report(args, {"kind": spec.kind, "n_vertices": G.n_vertices,
+                             "n_edges": G.n_edges, "total_measure": G.total_measure()})
     return 0
 
 
@@ -198,10 +137,8 @@ def _dist_common(args, metric: str) -> int:
         xi, d = best
         path = _read_back(G, metric, d, xi, yi) if d[yi] < math.inf else []
         _write_report(
-            args.report,
+            args,
             {
-                "command": "dist" if metric == "graph" else "essdist",
-                "seed": args.seed,
                 "metric": metric,
                 "source": int(G.vertex_ids[xi]),
                 "target": args.target,
@@ -212,7 +149,7 @@ def _dist_common(args, metric: str) -> int:
         return 0
     d = G.distances_from(sources, mask=metric, min_only=True)
     # vertex indices are in id order, so the row is already sorted by id
-    _write_text(args.out, _scalar_rows(G.vertex_ids.tolist(), d.tolist()))
+    _write_text(args.out, table_text(("vertex_id", "value"), (G.vertex_ids, d)))
     return 0
 
 
@@ -234,12 +171,7 @@ def cmd_qc(args) -> int:
         seed=args.seed,
         max_pairs=args.max_pairs,
     )
-    payload = report.to_dict()
-    payload["command"] = "qc"
-    payload["seed"] = args.seed
-    _write_report(args.report, payload)
-    if args.csv:
-        _write_text(args.csv, report.to_csv())
+    _write_analysis(args, report)
     return 0
 
 
@@ -248,11 +180,7 @@ def cmd_doubling(args) -> int:
     centers = parse_int_list(args.centers)
     scales = parse_float_list(args.scales)
     report = analysis.doubling_ratios(G, centers, scales)
-    payload = {"command": "doubling", "seed": args.seed}
-    payload.update(report.to_dict())
-    _write_report(args.report, payload)
-    if args.csv:
-        _write_text(args.csv, report.to_csv())
+    _write_analysis(args, report)
     return 0
 
 
@@ -261,20 +189,9 @@ def cmd_pi_check(args) -> int:
     u = read_scalar_csv(args.u)
     rho = read_scalar_csv(args.rho)
     radii = parse_float_list(args.radii) if args.radii else None
-    report = analysis.poincare_constant(
-        G,
-        u,
-        rho,
-        lam=args.lam,
-        r=args.r,
-        radii=radii,
-        exhaustive_radii=args.exhaustive_radii,
-    )
-    payload = {"command": "pi-check", "seed": args.seed}
-    payload.update(report.to_dict())
-    _write_report(args.report, payload)
-    if args.csv:
-        _write_text(args.csv, report.to_csv())
+    report = analysis.poincare_constant(G, u, rho, lam=args.lam, r=args.r, radii=radii,
+                                        exhaustive_radii=args.exhaustive_radii)
+    _write_analysis(args, report)
     return 0
 
 
@@ -292,8 +209,6 @@ def cmd_extend(args) -> int:
     reach = G.distances_from(omega, mask=args.metric, min_only=True)
     unreachable = [int(v) for v in G.vertex_ids[np.isinf(reach)]]
     payload = {
-        "command": "extend",
-        "seed": args.seed,
         "metric": args.metric,
         "truncated": bool(args.truncate),
         "omega_size": len(omega),
@@ -314,7 +229,7 @@ def cmd_extend(args) -> int:
             raise CertifyError(f"extension disagrees with data on {bad[:5]}")
         payload["certified"] = True
     if args.report:
-        _write_report(args.report, payload)
+        _write_report(args, payload)
     return 0
 
 
@@ -329,25 +244,21 @@ def cmd_whitney(args) -> int:
     else:
         raise InputError("whitney needs --boundary or --omega")
     cover = extension.whitney_cover(G, omega, alpha=args.alpha, beta=args.beta)
-    payload = {"command": "whitney", "seed": args.seed}
-    payload.update(cover.to_dict())
+    payload = cover.to_dict()
     if f is not None:
         vf = extension.as_vector_field(f, norm=args.norm)
         F = extension.whitney_extend(G, omega, vf, cover)
         _write_text(args.out, _vector_csv(F.values))
-        payload["sup_norm_data"] = vf.sup_norm()
-        payload["sup_norm_extension"] = F.sup_norm()
         lip_data = extension.vector_lipschitz_constant(G, vf)
         lip_ext = extension.vector_lipschitz_constant(G, F)
-        payload["lip_data"] = lip_data
-        payload["lip_extension"] = lip_ext
-        payload["expansion_factor"] = (
-            lip_ext / lip_data if lip_data > 0 else None
+        payload.update(
+            sup_norm_data=vf.sup_norm(), sup_norm_extension=F.sup_norm(), lip_data=lip_data,
+            lip_extension=lip_ext, expansion_factor=lip_ext / lip_data if lip_data > 0 else None,
         )
     if args.certify:
         _certify_whitney(G, cover)
         payload["certified"] = True
-    _write_report(args.report, payload)
+    _write_report(args, payload)
     return 0
 
 
@@ -405,8 +316,6 @@ def cmd_amle(args) -> int:
         )
     _write_text(args.out, _scalar_csv(sol.u))
     payload = {
-        "command": "amle",
-        "seed": args.seed,
         "metric": metric,
         "tol": sol.tol,
         "residual": sol.residual,
@@ -425,7 +334,7 @@ def cmd_amle(args) -> int:
         if res is not None:
             payload["local_residual"] = res
     if args.report:
-        _write_report(args.report, payload)
+        _write_report(args, payload)
     return 0 if sol.converged else 4
 
 
@@ -433,8 +342,6 @@ def cmd_audit(args) -> int:
     G = load_graph(args.graph)
     neg = analysis.negligible_edges(G)
     payload = {
-        "command": "audit",
-        "seed": args.seed,
         "n_vertices": G.n_vertices,
         "n_edges": G.n_edges,
         "total_measure": G.total_measure(),
@@ -445,7 +352,7 @@ def cmd_audit(args) -> int:
         "zero_measure_vertices": int(np.sum(G.mu <= 0)),
         "valid": True,
     }
-    _write_report(args.report, payload)
+    _write_report(args, payload)
     return 0
 
 

@@ -139,14 +139,13 @@ class VectorField:
 
 
 def as_vector_field(f: Mapping[int, object], norm: str = "max") -> VectorField:
-    """Wrap scalar or sequence values as a VectorField."""
-    vals: dict[int, tuple[float, ...]] = {}
-    for k, v in f.items():
-        if isinstance(v, (int, float)):
-            vals[int(k)] = (float(v),)
-        else:
-            vals[int(k)] = tuple(float(x) for x in v)
-    return VectorField(vals, norm)
+    """Wrap scalar or sequence values as a VectorField.
+
+    A scalar, a string among them, becomes a 1-tuple.  Entries are not
+    converted here: the operators read them as numbers (``graph._values``),
+    and an entry that is not one is an ``InputError`` naming its vertex.
+    """
+    return VectorField({k: (v,) if np.ndim(v) == 0 else tuple(v) for k, v in f.items()}, norm)
 
 
 # -- scalar extension -------------------------------------------------------
@@ -215,7 +214,7 @@ def truncate_extend(
     (unreachable vertices clamp to M as well, the literal value of the
     formula at +inf).
     """
-    omega = [int(v) for v in omega]
+    omega = list(omega)
     tu = mcshane_extend(G, omega, u, metric_choice)  # equal to u on Omega
     m = max(abs(tu[v]) for v in omega)
     return {k: float(min(m, max(-m, v))) for k, v in tu.items()}

@@ -74,12 +74,29 @@ class Ball:
     closed: bool = False
 
 
-def _floats(values: list, what: str, rows: bool = False) -> np.ndarray:
-    """Float array of numbers (of rows of numbers with ``rows``).  Strings
-    and bools are rejected: numpy would read ``"2"`` as 2.0 and ``True``
-    as 1.0."""
-    items = itertools.chain.from_iterable(values) if rows else values
-    if not {str, bool}.isdisjoint(map(type, items)):
+#: Not numbers, though numpy reads ``"2"`` and ``b"2"`` as 2.0 and ``True`` as 1.0.
+_NOT_NUMBERS = frozenset({str, bytes, bool, np.str_, np.bytes_, np.bool_})
+#: Types of a vector value, whose entries are its coordinates.
+_VECTORS = frozenset({list, tuple, np.ndarray})
+
+
+def _id_type(t: type) -> bool:
+    """True for a vertex id type: a Python or numpy int, but not bool."""
+    return issubclass(t, (int, np.integer)) and t is not bool
+
+
+def _numbers(values: list) -> bool:
+    """False when a value or a vector value's coordinate is not a number."""
+    types = set(map(type, values))
+    if not types.isdisjoint(_VECTORS):
+        types = set(map(type, itertools.chain.from_iterable(
+            x if type(x) in _VECTORS else (x,) for x in values)))
+    return _NOT_NUMBERS.isdisjoint(types)
+
+
+def _floats(values: list, what: str) -> np.ndarray:
+    """Float array of numbers or of vectors of numbers."""
+    if not _numbers(values):
         raise InputError(f"{what} must be numbers, not strings or booleans")
     return np.asarray(values, dtype=np.float64)
 
@@ -221,13 +238,14 @@ class MetricMeasureGraph:
         return self._edge_mu
 
     def has_vertex(self, vid: int) -> bool:
-        return int(vid) in self._id_to_idx
+        return _id_type(type(vid)) and vid in self._id_to_idx
 
     def index_of(self, vid: int) -> int:
-        try:
-            return self._id_to_idx[int(vid)]
-        except KeyError:
-            raise InputError(f"unknown vertex id {vid}") from None
+        """Index of a vertex id; an id that is not an int (a float, a bool) is unknown."""
+        i = self._id_to_idx.get(vid) if _id_type(type(vid)) else None
+        if i is None:
+            raise InputError(f"unknown vertex id {vid}")
+        return i
 
     def id_at(self, index: int) -> int:
         return int(self._ids[index])
@@ -245,8 +263,9 @@ class MetricMeasureGraph:
         )
 
     def edges(self) -> Iterator[Edge]:
-        for i in range(self.n_edges):
-            yield self.edge(i)
+        ends = (self._ids[self._edge_ia].tolist(), self._ids[self._edge_ib].tolist())
+        return map(Edge, range(self.n_edges), *ends, self._edge_len.tolist(),
+                   self._edge_mu.tolist())
 
     def positive_edge_mask(self) -> np.ndarray:
         """Mask of edges with positive measure (the non-negligible ones)."""
@@ -462,10 +481,14 @@ def _vertex_set(
 ) -> tuple[list[int], np.ndarray]:
     """The ids of a vertex set in ascending order and their indices.
 
-    ``InputError`` for an empty set, else for the first id, in ascending
-    order, that is unknown or repeated; ``what`` names the set.
+    ``InputError`` for the first id that is not an int (see ``index_of``),
+    else for an empty set, else for the first id, in ascending order, that
+    is unknown or repeated; ``what`` names the set.
     """
-    ids = sorted(int(v) for v in vertices)
+    ids = list(vertices)
+    if not all(map(_id_type, set(map(type, ids)))):
+        raise InputError(f"unknown vertex id {next(v for v in ids if not _id_type(type(v)))}")
+    ids = sorted(map(int, ids))
     if not ids:
         raise InputError(f"{what} must be nonempty")
     idx = []
@@ -489,16 +512,17 @@ def _values(
     """
     rows = [f.get(v, _MISSING) for v in ids]
     try:
-        vals = np.asarray(rows, dtype=np.float64)
-        if not np.any(np.isnan(vals) if allow_inf else ~np.isfinite(vals)):
-            return vals
+        if _numbers(rows):
+            vals = np.asarray(rows, dtype=np.float64)
+            if not np.any(np.isnan(vals) if allow_inf else ~np.isfinite(vals)):
+                return vals
     except (TypeError, ValueError, OverflowError):
         pass
     for v, x in zip(ids, rows):
         if x is _MISSING:
             raise InputError(f"{what} missing at vertex {v}")
         try:
-            x = np.asarray(x, dtype=np.float64)
+            x = np.asarray(x, dtype=np.float64) if _numbers([x]) else np.nan
         except (TypeError, ValueError, OverflowError):
             x = np.nan
         if np.any(np.isnan(x) if allow_inf else ~np.isfinite(x)):
@@ -515,7 +539,7 @@ def _int_column(records: Sequence, key: str, message: str) -> np.ndarray | list:
         col = [r.get(key) for r in records]
     except AttributeError:
         raise InputError(message) from None
-    if not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, col))):
+    if not all(map(_id_type, set(map(type, col)))):
         raise InputError(message)
     try:
         return np.asarray(col, dtype=np.int64)
@@ -530,7 +554,7 @@ def _positions(col: list) -> np.ndarray | None:
         raise InputError("pos must be given for all vertices or none")
     if not given:
         return None
-    pos = _floats(col, "vertex pos", rows=True)
+    pos = _floats(col, "vertex pos")
     if pos.ndim != 2:
         raise InputError("vertex pos entries must share one dimension")
     return pos

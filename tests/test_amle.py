@@ -658,20 +658,40 @@ def unbounded(x):
 def check_local_loop(u, problem):
     """The per-edge loop ``check_amle_local`` replaced.
 
+    ``u`` is read first: on the boundary, then at each interior vertex
+    with an edge and at its neighbours, in id order.
+
     A row with an overflowing slope is summed again in exact rationals,
     rounded as floats with an unbounded exponent would round, and reads
     inf only when that imbalance is past the float range.
     """
     G = problem.graph
     ids = G.vertex_ids
-    for v in problem.boundary:
-        if v not in u:
-            raise InputError(f"u missing boundary vertex {v}")
-        if float(u[v]) != problem.g[v]:
-            raise InputError(f"u differs from boundary data at vertex {v}")
     bset = set(problem.boundary)
     csr = G._csr(problem.metric_choice)
     indptr, heads, lens = csr.indptr, csr.indices, csr.data
+    read = set()
+    for vi in range(G.n_vertices):
+        if int(ids[vi]) not in bset and indptr[vi + 1] > indptr[vi]:
+            read |= {int(ids[vi])} | {int(ids[w]) for w in heads[indptr[vi]:indptr[vi + 1]]}
+
+    def value(v):
+        if v not in u:
+            raise InputError(f"u missing at vertex {v}")
+        try:
+            x = float(u[v])
+        except (TypeError, ValueError):
+            x = math.nan
+        if type(u[v]) in (str, bytes, bool) or not math.isfinite(x):
+            raise InputError(f"u not finite at vertex {v}")
+        return x
+
+    boundary = [value(v) for v in problem.boundary]
+    for v, x in zip(problem.boundary, boundary):
+        if x != problem.g[v]:
+            raise InputError(f"u differs from boundary data at vertex {v}")
+    for v in sorted(read):
+        value(v)
     out = {}
     for vi in range(G.n_vertices):
         vid = int(ids[vi])
@@ -681,11 +701,7 @@ def check_local_loop(u, problem):
         edges = []
         for p in range(indptr[vi], indptr[vi + 1]):
             wid = int(ids[heads[p]])
-            if vid not in u or wid not in u:
-                raise InputError(f"u missing a value near vertex {vid}")
             ux, uw = float(u[vid]), float(u[wid])
-            if not (np.isfinite(ux) and np.isfinite(uw)):
-                raise InputError(f"u not finite near vertex {vid}")
             slope = (uw - ux) / float(lens[p])
             sup = max(sup, slope)
             sdn = max(sdn, -slope)
@@ -723,7 +739,8 @@ class TestCheckLocalOracle:
             if v in u:
                 continue
             if data.draw(st.floats(0, 1)) < bad_rate:
-                choice = data.draw(st.sampled_from(["missing", math.nan, math.inf, -math.inf]))
+                choice = data.draw(st.sampled_from(
+                    ["missing", math.nan, math.inf, -math.inf, "abc", "12", None, True]))
                 if choice != "missing":
                     u[v] = choice
             else:
@@ -733,6 +750,23 @@ class TestCheckLocalOracle:
             warnings.simplefilter("error")
             got = local_outcome(check_amle_local, u, problem)
         assert got == local_outcome(check_local_loop, u, problem)
+
+    def test_values_are_read_under_one_policy(self):
+        """Boundary first, then in id order; a value ``float`` cannot read,
+        a string and a bool are input errors, not raw exceptions."""
+        problem = AMLEProblem(path_graph(4), (0, 3), {0: 0.0, 3: 1.0})
+        for bad in ("abc", object(), "0.5", b"1", True):
+            with pytest.raises(InputError, match="^u not finite at vertex 2$"):
+                check_amle_local({0: 0.0, 1: 0.5, 2: bad, 3: 1.0}, problem)
+        with pytest.raises(InputError, match="^u not finite at vertex 3$"):
+            check_amle_local({0: 0.0, 2: 0.5, 3: "1.0"}, problem)
+        with pytest.raises(InputError, match="^u missing at vertex 1$"):
+            check_amle_local({0: 0.0, 2: math.nan, 3: 1.0}, problem)
+        with pytest.raises(InputError, match="^u differs from boundary data at vertex 3$"):
+            check_amle_local({0: 0.0, 1: "x", 3: 2.0}, problem)
+        # a bad boundary value is read as one before it is compared
+        with pytest.raises(InputError, match="^u not finite at vertex 0$"):
+            check_amle_local({0: math.nan, 1: 0.5, 2: 0.5, 3: 1.0}, problem)
 
     def test_overflowing_slopes(self):
         # 1e300 across 1e-300 overflows to an infinite slope: an infinite

@@ -96,8 +96,13 @@ class TestValidation:
                 [{"a": 0, "b": 1.2, "len": 1.0, "mu_edge": 1.0}],
                 "edge endpoints must be integer vertex ids",
             ),
+            (
+                [{"id": 0, "mu": 1.0, "pos": 0.0}, {"id": 1, "mu": 1.0, "pos": 1.0}],
+                [],
+                "malformed vertex or edge record: vertex pos entries must share one dimension",
+            ),
         ],
-        ids=["float id", "bool id", "float endpoint"],
+        ids=["float id", "bool id", "float endpoint", "scalar pos"],
     )
     def test_records_are_read_as_graph_from_dict_reads_them(self, vertices, edges, message):
         """No id or endpoint is truncated to an int on the way in."""
@@ -105,6 +110,26 @@ class TestValidation:
             MetricMeasureGraph(vertices, edges)
         with pytest.raises(InputError, match=f"^{message}$"):
             graph_from_dict({"vertices": vertices, "edges": edges})
+
+    @pytest.mark.parametrize(
+        "vertex, edge, what",
+        [
+            ({"mu": b"1"}, {}, "vertex mu"),
+            ({"mu": np.str_("1")}, {}, "vertex mu"),
+            ({"mu": np.True_}, {}, "vertex mu"),
+            ({"pos": [0.0, b"1"]}, {}, "vertex pos"),
+            ({"pos": (0.0, np.True_)}, {}, "vertex pos"),
+            ({}, {"len": b"1"}, "edge len"),
+            ({}, {"mu_edge": np.False_}, "edge mu_edge"),
+        ],
+    )
+    def test_numbers_numpy_would_read_are_rejected(self, vertex, edge, what):
+        vertices = [{"id": 0, "mu": 1.0, "pos": [0.0, 0.0]}, {"id": 1, "mu": 1.0, "pos": [1.0, 0.0]}]
+        vertices[1] = {**vertices[1], **vertex}
+        edges = [{"a": 0, "b": 1, "len": 1.0, "mu_edge": 1.0, **edge}]
+        message = f"malformed vertex or edge record: {what} must be numbers, not strings or booleans"
+        with pytest.raises(InputError, match=f"^{message}$"):
+            MetricMeasureGraph(vertices, edges)
 
     def test_numpy_int_ids_are_ints(self):
         G = MetricMeasureGraph(
@@ -137,6 +162,14 @@ class TestValidation:
     def test_zero_vertex_measure_allowed(self):
         G = make_graph([(0, 0.0), (1, 1.0)], [(0, 1, 1.0)])
         assert G.total_measure() == 1.0
+
+
+def test_edges_are_the_edge_records_with_python_scalars():
+    G = make_graph([(7, 1.0), (2, 0.5), (5, 0.0)], [(7, 2, 0.25, 0.0), (5, 7, 1e-300), (2, 5, 3.0)])
+    edges = list(G.edges())
+    assert edges == [G.edge(i) for i in range(G.n_edges)]
+    assert [(e.a, e.b) for e in edges] == [(7, 2), (5, 7), (2, 5)]
+    assert {type(x) for e in edges for x in vars(e).values()} == {int, float}
 
 
 class TestSerialization:

@@ -1,8 +1,10 @@
 """One input policy for vertex sets and vertex fields at every entry point.
 
 A vertex set (Omega, a boundary, Nagata points, a field's keys) must be
-nonempty, with known and distinct ids.  A field must have a number at
-every vertex it is read at; NaN is never accepted, an infinity only
+nonempty, with known and distinct ids; an id that is not an int (a
+float, a bool) is unknown.  A field must have a number at every vertex
+it is read at, and a string, bytes or a bool is not one, though numpy
+reads them as numbers; NaN is never accepted, an infinity only
 where noted.  The first failure in ascending id order is named, and set
 errors come before value errors.
 """
@@ -16,6 +18,7 @@ from mmgraph import (
     AMLEProblem,
     InputError,
     VectorField,
+    as_vector_field,
     hajlasz_gradient_from_upper,
     infinity_harmonic_extend,
     lipschitz_constant,
@@ -106,7 +109,13 @@ KEY_SITES = {
     ),
 }
 
-SPOILERS = {"NaN": math.nan, "+inf": math.inf, "-inf": -math.inf, "non-number": "abc"}
+SPOILERS = {
+    "NaN": math.nan, "+inf": math.inf, "-inf": -math.inf, "non-number": "abc",
+    "numeric string": "12", "bytes": b"3", "bool": True, "numpy bool": np.True_,
+}
+
+#: Ids that are not ints, though ``int`` would read them as one.
+NON_INT_IDS = {"float id": 2.5, "integral float id": 3.0, "bool id": True}
 
 
 def _cases():
@@ -114,6 +123,8 @@ def _cases():
         if set_name is not None:
             yield name, "empty", call, [], f, f"{set_name} must be nonempty"
             yield name, "unknown id", call, om + [99], f, "unknown vertex id 99"
+            for case, vid in NON_INT_IDS.items():
+                yield name, case, call, om + [vid], f, f"unknown vertex id {vid}"
             twice = f"duplicate vertex {om[0]} in {set_name}"
             yield name, "duplicate", call, om + [om[0]], f, twice
         if field_name is None:
@@ -128,6 +139,8 @@ def _cases():
         f = {0: 0.0, 2: 1.0, 4: 0.5}
         yield name, "empty", call, None, {}, f"{what} must be nonempty"
         yield name, "unknown id", call, None, {**f, 99: 0.0}, "unknown vertex id 99"
+        for case, vid in NON_INT_IDS.items():
+            yield name, case, call, None, {**f, vid: 0.0}, f"unknown vertex id {vid}"
         for spoil, value in SPOILERS.items():
             yield name, spoil, call, None, {**f, 2: value}, f"{what} not finite at vertex 2"
 
@@ -189,3 +202,30 @@ def test_vector_fields_are_read_row_by_row():
         whitney_extend(G, [0, 4], vf, COVER)
     F = whitney_extend(G, [0, 4], VectorField({0: (0.0, 1.0), 4: (1.0, np.float64(2.0))}), COVER)
     assert F.values[4] == (1.0, 2.0)
+
+
+def test_single_ids_must_be_ints():
+    """``index_of`` and ``has_vertex`` read a float or a bool as an unknown
+    id, as vertex sets and graph records do; numpy ints are ids."""
+    for vid in (2.9, 2.0, True, False, np.float64(1.0), np.True_, "1", None):
+        with pytest.raises(InputError, match=f"^unknown vertex id {vid}$"):
+            G.index_of(vid)
+        assert not G.has_vertex(vid)
+    assert G.index_of(np.int64(2)) == 2 and G.has_vertex(np.uint8(4))
+
+
+def test_a_float_id_in_omega_is_not_truncated():
+    with pytest.raises(InputError, match="^unknown vertex id 1.7$"):
+        mcshane_extend(G, [1.7], {1: 5.0})
+    assert mcshane_extend(G, [np.int64(1)], {1: 5.0}) == {v: 5.0 for v in range(5)}
+
+
+def test_plain_mapping_vector_data_is_read_per_vertex():
+    """A string is one non-number, not a row of one-character coordinates."""
+    assert as_vector_field({0: "12", 4: 1.5}).values == {0: ("12",), 4: (1.5,)}
+    assert as_vector_field({2: [1, 2], 3: np.zeros(2)}).values == {2: (1, 2), 3: (0.0, 0.0)}
+    for value in ("abc", "12"):
+        with pytest.raises(InputError, match="^boundary data not finite at vertex 0$"):
+            whitney_extend(G, [0, 4], {0: value, 4: 1.0}, COVER)
+    F = whitney_extend(G, [0, 4], {0: 0, 4: np.float32(1.0)}, COVER)
+    assert (F.values[0], F.values[4]) == ((0.0,), (1.0,))
