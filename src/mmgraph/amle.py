@@ -22,11 +22,22 @@ monotone in the neighbor values, so iterates started from the constant
 min and max fills bracket every other start and converge monotonically
 to the unique solution.
 
-Each color class is split by degree into buckets of k vertices of
-degree d, solved at once by min and max over one broadcast (d, d, k)
-table of pair values; padding a shorter row by a repeated neighbor
-repeats a row and a column of its table, so every t* stays bit-identical
-to solving that vertex alone (see ``_Sweep``).
+A pair's coefficients depend only on its two lengths, and its value is
+non-decreasing in u_i and in u_j, since rounding is monotone and the
+coefficients are nonnegative.  So over groups I, J of neighbors with
+equal lengths the max-min is taken at the largest u_i of each I and the
+smallest u_j of each J, by the same float expression:
+
+    t* = max_I min_J (l_J max_{i in I} u_i + l_I min_{j in J} u_j) / (l_I + l_J).
+
+Each color class is split into buckets of k vertices whose rows have g
+length groups of at most s members, solved at once by min and max over
+one broadcast (g, g, k) table; on the diagonal lattices of the grid,
+cusp and carpet meshes g <= 2 where the degree is up to 8.  Padding a
+group by a repeated member, or a row by a repeated group, changes no max
+or min, so every t* stays bit-identical to solving that vertex alone
+over all its (d, d) pairs, up to the sign of a zero where values tie at
+0.0 and -0.0 (see ``_Sweep``).
 
 The solver stops at the first sweep whose largest imbalance is at most
 ``tol``, but it evaluates that full residual only when it can change the
@@ -146,8 +157,8 @@ def _imbalance(u, owner, nbr, lens, starts) -> np.ndarray:
     return imb
 
 
-#: A degree joins the wider bucket above it when padding adds at most this
-#: many pair-table entries, about the cost of one more bucket's numpy calls.
+#: A row shape joins the wider bucket above it when padding adds at most
+#: this many table entries, about the cost of one more bucket's numpy calls.
 _PAD_ENTRIES = 2048
 
 
@@ -157,18 +168,31 @@ class _Sweep:
     Its rows are the active vertices' rows of the metric's CSR (see
     ``MetricMeasureGraph._csr``), so only the metric's edges take part.
     Flat neighbor arrays serve the residual.  For the local solves the
-    active vertices are greedily colored in index order, and each color
-    class is split by degree into buckets ``(verts, nb, ci, cj)``: ``nb``
-    has shape (d, k) and holds the neighbors of the bucket's k vertices
-    with lengths ``l``; ``ci`` and ``cj`` have shape (d, d, k) and hold
-    l_i / (l_i + l_j) and l_j / (l_i + l_j) at [j, i].  Rows shorter than
-    d are padded by repeating their last neighbor and its length.
+    active vertices are greedily colored in index order, and a row's
+    neighbors are sorted into groups of equal edge length: g groups of
+    at most s members.  Each color class is split by (g, s) into buckets
+    ``(verts, nb, ci, cj)``: ``nb`` has shape (s, g, k) and holds the
+    groups of the bucket's k vertices, with group lengths ``l``; ``ci``
+    and ``cj`` have shape (g, g, k) and hold l_I / (l_I + l_J) and
+    l_J / (l_I + l_J) at [J, I].  A group smaller than s is padded by
+    repeating its last member, a row with fewer than g groups by
+    repeating its last group and its length.
 
-    ``relax`` is bit-identical to solving every vertex on its own: each
-    pair value is the same ``cj * u_i + ci * u_j`` in floating point, min
-    and max are exact, padding copies an existing row and column of the
-    max-min table, and the vertices of one class share no edge, so their
-    buckets can be written in any order.
+    ``relax`` is bit-identical to solving every vertex on its own over
+    all its (d, d) neighbor pairs.  The pair value
+    ``cj * u_i + ci * u_j`` depends on i and j only through u_i, u_j and
+    their groups, and it is non-decreasing in u_i and in u_j, since the
+    coefficients are nonnegative and rounding is monotone.  So over the
+    members of groups I and J its min is the value at the largest u_i of
+    I and the smallest u_j of J, the same float expression:
+
+        max_i min_j t[j, i] == max_I min_J (c_JI max_I u + c_IJ min_J u).
+
+    Padding repeats a member (no max or min changes) or a row and a
+    column of the (g, g) table, and the vertices of one class share no
+    edge, so their buckets can be written in any order.  Where neighbor
+    values tie at 0.0 and -0.0, a result may be the other zero than the
+    (d, d) table's; the two compare equal.
     """
 
     def __init__(self, csr, active_idx: np.ndarray):
@@ -195,23 +219,39 @@ class _Sweep:
                 c += 1
             color.append(c)
         color_arr = np.asarray(color)
+        # each row's neighbors sorted by length, in groups of equal length
+        row = np.repeat(np.arange(n), deg)
+        order = np.lexsort((sub.data, row))
+        lens, nbs = sub.data[order], nbr[order]
+        new = np.diff(lens, prepend=np.nan) != 0
+        new[self.starts] = True
+        head = np.flatnonzero(new)  # each group's first edge
+        size = np.diff(np.append(head, lens.size))
+        groups = np.bincount(row[head], minlength=n)
+        first = np.cumsum(groups) - groups  # each row's first group
+        # a row's shape (g, s) is divmod(key, m), so keys sort by g, then s
+        m = np.max(size) + 1
+        key = groups * m + np.maximum.reduceat(size, first)
         self.buckets = []
         for c in range(max(color) + 1):
             rows = np.flatnonzero(color_arr == c)
-            ds, ks = np.unique(deg[rows], return_counts=True)
-            width, top = np.empty_like(ds), ds[-1]
-            for q in range(ds.size - 1, -1, -1):
-                if ks[q] * (top * top - ds[q] * ds[q]) > _PAD_ENTRIES:
-                    top = ds[q]
+            shapes, ks = np.unique(key[rows], return_counts=True)
+            width, top = np.empty_like(shapes), shapes[-1]
+            for q in range(shapes.size - 1, -1, -1):
+                (g, s), (G, S) = divmod(shapes[q], m), divmod(top, m)
+                if s > S or ks[q] * (G * (G + S) - g * (g + s)) > _PAD_ENTRIES:
+                    top = shapes[q]
                 width[q] = top
-            width = width[np.searchsorted(ds, deg[rows])]
-            for d in np.unique(width):
-                part = rows[width == d]
-                at = indptr[part] + np.minimum(np.arange(d)[:, None], deg[part] - 1)
-                L = sub.data[at]
+            width = width[np.searchsorted(shapes, key[rows])]
+            for w in np.unique(width):
+                part = rows[width == w]
+                G, S = divmod(w, m)
+                grp = first[part] + np.minimum(np.arange(G)[:, None], groups[part] - 1)
+                at = head[grp] + np.minimum(np.arange(S)[:, None, None], size[grp] - 1)
+                L = lens[head[grp]]
                 den = L[None] + L[:, None]
                 self.buckets.append(
-                    (active_idx[part], nbr[at], L[None] / den, L[:, None] / den)
+                    (active_idx[part], nbs[at], L[None] / den, L[:, None] / den)
                 )
 
     def residual(self, u: np.ndarray, tol: float) -> float:
@@ -243,8 +283,8 @@ class _Sweep:
     def relax(self, u: np.ndarray) -> None:
         for verts, nb, ci, cj in self.buckets:
             U = u[nb]
-            t = cj * U
-            t += ci * U[:, None]
+            t = cj * U.max(axis=0)
+            t += ci * U.min(axis=0)[:, None]
             u[verts] = t.min(axis=0).max(axis=0)
 
 

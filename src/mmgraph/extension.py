@@ -30,6 +30,7 @@ from .graph import (
     Metric,
     MetricMeasureGraph,
     _distance_rows,
+    _floats,
     _max_slope,
     _values,
     _vertex_set,
@@ -132,10 +133,18 @@ class VectorField:
         return np.sqrt(np.sum(rows * rows, axis=1))
 
     def norm_of(self, vec: Sequence[float]) -> float:
-        return float(self._norms(np.asarray(vec, dtype=float).reshape(1, -1))[0])
+        """The norm of one vector, whose entries must be numbers (no
+        strings or booleans, see ``graph._numbers``); a NaN entry gives NaN."""
+        return float(self._norms(_floats([vec], "vector entries").reshape(1, -1))[0])
 
     def sup_norm(self) -> float:
-        return max((self.norm_of(v) for v in self.values.values()), default=0.0)
+        """The largest norm of an entry; ``InputError`` names the first
+        vertex, in the field's order, whose entry is not a vector of
+        numbers or has a NaN coordinate (see ``graph._values``)."""
+        if not self.values:
+            return 0.0
+        rows = _values(self.values, list(self.values), "vector field", allow_inf=True, vector=True)
+        return float(np.max(self._norms(rows)))
 
 
 def as_vector_field(f: Mapping[int, object], norm: str = "max") -> VectorField:
@@ -416,7 +425,7 @@ def whitney_extend(
     vf = f if isinstance(f, VectorField) else as_vector_field(f)
     if cover.omega != frozenset(om):
         raise CertifyError("cover was built for a different Omega")
-    vals = _values(vf.values, om, "boundary data")
+    vals = _values(vf.values, om, "boundary data", vector=True)
     for z in cover.anchors:
         if z not in vf.values:
             raise InputError(f"anchor {z} lacks boundary data")
@@ -443,5 +452,5 @@ def vector_lipschitz_constant(
 ) -> float:
     """Largest norm(f(x) - f(y)) / d(x, y) over pairs in the field's domain."""
     keys, idx = _vertex_set(G, vf.values, "vector field")
-    vals = _values(vf.values, keys, "vector field")
+    vals = _values(vf.values, keys, "vector field", vector=True)
     return _max_slope(G, keys, idx, vals, vf._norms, metric)

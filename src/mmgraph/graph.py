@@ -500,21 +500,28 @@ def _vertex_set(
 
 
 def _values(
-    f: Mapping[int, object], ids: Sequence[int], what: str, allow_inf: bool = False
+    f: Mapping[int, object],
+    ids: Sequence[int],
+    what: str,
+    allow_inf: bool = False,
+    vector: bool = False,
 ) -> np.ndarray:
     """The float64 values of the field ``f`` at ``ids``, in order: one
-    entry per id, or one row per id when the values are vectors.  Ids
-    that ``f`` has and ``ids`` lacks are ignored.
+    number per id, or for a ``vector`` field one row per id.  Ids that
+    ``f`` has and ``ids`` lacks are ignored.
 
     ``InputError`` names the first of ``ids`` whose value is missing, is
     not a number ``float`` can read, or has a NaN or, unless
-    ``allow_inf``, an infinite entry; ``what`` names the field.
+    ``allow_inf``, an infinite entry, or is a vector in a scalar field;
+    ``what`` names the field.
     """
     rows = [f.get(v, _MISSING) for v in ids]
     try:
         if _numbers(rows):
             vals = np.asarray(rows, dtype=np.float64)
-            if not np.any(np.isnan(vals) if allow_inf else ~np.isfinite(vals)):
+            if (vector or vals.ndim == 1) and not np.any(
+                np.isnan(vals) if allow_inf else ~np.isfinite(vals)
+            ):
                 return vals
     except (TypeError, ValueError, OverflowError):
         pass
@@ -527,6 +534,8 @@ def _values(
             x = np.nan
         if np.any(np.isnan(x) if allow_inf else ~np.isfinite(x)):
             raise InputError(f"{what} not finite at vertex {v}")
+        if not vector and np.ndim(x):
+            raise InputError(f"{what} not a number at vertex {v}")
     raise InputError(f"{what} values must share one shape")
 
 

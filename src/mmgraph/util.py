@@ -12,9 +12,6 @@ import numpy as np
 #: Absolute tolerance for comparisons between lengths/distances.
 LENGTH_TOL = 1e-9
 
-#: Absolute tolerance for comparisons between measures.
-MEASURE_TOL = 1e-12
-
 #: Report schema version written into every JSON report.
 SCHEMA_VERSION = 1
 

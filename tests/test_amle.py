@@ -319,7 +319,9 @@ class TestInfinityHarmonicExtend:
 #
 # ``ReduceatSweep`` is the sweep the bucketed ``amle._Sweep`` replaced: one
 # flat pair table per color class, reduced with ``np.minimum.reduceat`` over
-# each row's d x d block and ``np.maximum.reduceat`` over its d minima.
+# each row's d x d block and ``np.maximum.reduceat`` over its d minima.  It
+# evaluates every (i, j) pair of a row, so it is also the oracle for the
+# length groups that ``amle._Sweep`` reduces the pairs to.
 # ``solve_amle`` run with it patched in must give the same ``u``,
 # ``residual``, ``iterations`` and degenerate vertices, compared with ``==``.
 # It keeps no witnesses (``witnessed`` is always False), so the solver runs
@@ -411,7 +413,8 @@ def assert_matches_reduceat(problem, **kwargs):
 
 
 def bucket_layout(problem):
-    """(distinct bucket widths, padded rows) of the problem's sweep."""
+    """(row shapes (g, s), padded members, padded groups) of the problem's
+    sweep, whose buckets hold (s, g, k) neighbor tables."""
     G = problem.graph
     bset = set(problem.boundary)
     metric = G._metric(problem.metric_choice)
@@ -419,11 +422,14 @@ def bucket_layout(problem):
     active = np.asarray(
         [i for i, v in enumerate(G.vertex_ids) if int(v) not in bset and reach[i]]
     )
-    buckets = amle._Sweep(G._csr(metric), active).buckets
-    widths = {nb.shape[0] for _, nb, _, _ in buckets}
+    tables = [nb for _, nb, _, _ in amle._Sweep(G._csr(metric), active).buckets]
+    shapes = {(nb.shape[1], nb.shape[0]) for nb in tables}
     # a CSR row never repeats a neighbor, so a repeat is padding
-    padded = sum(int(np.sum(nb[-1] == nb[-2])) for _, nb, _, _ in buckets if len(nb) > 1)
-    return widths, padded
+    members = sum(int(np.sum(nb[-1] == nb[-2])) for nb in tables if len(nb) > 1)
+    groups = sum(
+        int(np.sum(np.all(nb[:, -1] == nb[:, -2], axis=0))) for nb in tables if nb.shape[1] > 1
+    )
+    return shapes, members, groups
 
 
 LENGTHS = st.one_of(
@@ -434,20 +440,25 @@ VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0]),
     st.floats(min_value=-10.0, max_value=10.0),
 )
+#: Lengths drawn from a pool of two or three, so that rows have groups of
+#: several equal-length neighbors.
+POOLED = st.lists(LENGTHS, min_size=2, max_size=3, unique=True).map(st.sampled_from)
 ORACLE = settings(
     max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
 
 @st.composite
-def amle_problems(draw, max_n=14, values=VALUES):
-    """A problem on shuffled ids with mixed degrees and zero-measure edges."""
+def amle_problems(draw, max_n=14, values=VALUES, lengths=st.just(LENGTHS)):
+    """A problem on shuffled ids with mixed degrees and zero-measure edges;
+    ``lengths`` draws the strategy of the problem's edge lengths."""
     n = draw(st.integers(2, max_n))
     ids = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n, unique=True))
     pairs = list(itertools.combinations(ids, 2))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n))
+    length = draw(lengths)
     edges = [
-        (a, b, draw(LENGTHS), draw(st.sampled_from([0.0, 0.0, 1.0, 2.5])))
+        (a, b, draw(length), draw(st.sampled_from([0.0, 0.0, 1.0, 2.5])))
         for a, b in chosen
     ]
     G = make_graph([(v, 1.0) for v in ids], edges)
@@ -488,6 +499,19 @@ class TestReduceatOracle:
         assert_matches_reduceat(problem, tol=1e-12, max_iter=40, init=init)
 
     @ORACLE
+    @given(amle_problems(lengths=POOLED), st.sampled_from(["mcshane", "min", "max"]))
+    def test_pooled_lengths(self, problem, init):
+        assert_matches_reduceat(problem, tol=1e-12, max_iter=40, init=init)
+
+    def test_length_groups_with_extreme_lengths(self):
+        # groups of 1e-300, 1e300 and 1.0 in one row, with values tied at +-0.0
+        arms = [1e-300] * 3 + [1e300] * 3 + [1.0] * 2
+        problem = star_graph(arms, [0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0, -0.0])
+        for init in ("mcshane", "min", "max"):
+            assert_matches_reduceat(problem, tol=1e-13, max_iter=40, init=init)
+        assert bucket_layout(problem)[0] == {(3, 3)}
+
+    @ORACLE
     @given(st.data(), st.integers(1, 20))
     def test_stars(self, data, k):
         arms = [data.draw(LENGTHS) for _ in range(k)]
@@ -510,12 +534,34 @@ class TestReduceatOracle:
             assert_matches_reduceat(problem, tol=1e-12, max_iter=60, init=init)
 
     def test_mixed_degrees_use_padded_buckets(self, rng):
+        # distinct lengths: one neighbor per group, and g is the degree
         G = random_geometric_graph(rng, 300)
         boundary = tuple(int(v) for v in rng.choice(300, size=30, replace=False))
         problem = AMLEProblem(G, boundary, {v: float(rng.normal()) for v in boundary})
-        widths, padded = bucket_layout(problem)
-        assert len(widths) >= 2 and padded > 0
+        shapes, members, groups = bucket_layout(problem)
+        assert len(shapes) >= 2 and {s for _, s in shapes} == {1} and groups > 0
         assert_matches_reduceat(problem, tol=1e-12, max_iter=60)
+
+    def test_mixed_groups_use_padded_buckets(self, rng):
+        # lengths from a pool of three: groups of several members
+        G = random_geometric_graph(rng, 300)
+        edges = [(e.a, e.b, float(rng.choice([0.05, 0.08, 0.1]))) for e in G.edges()]
+        G = make_graph([(v, 1.0) for v in range(300)], edges)
+        boundary = tuple(int(v) for v in rng.choice(300, size=30, replace=False))
+        problem = AMLEProblem(G, boundary, {v: float(rng.normal()) for v in boundary})
+        shapes, members, groups = bucket_layout(problem)
+        assert len(shapes) >= 2 and members > 0 and groups > 0
+        assert_matches_reduceat(problem, tol=1e-12, max_iter=60)
+
+    @pytest.mark.parametrize("spec", [
+        dict(h=1 / 12, rect=(0, 0, 1, 1)), dict(h=0.07, rect=(-0.3, 0.1, 1.9, 0.8)),
+        dict(h=1 / 32, rect=(0, 0, 1, 1)), dict(h=0.1, disc=(0.2, -0.4, 0.75)),
+    ])
+    def test_grid_rows_have_two_length_groups(self, spec):
+        G = gen_grid(**spec)
+        boundary = tuple(int(v) for v in G.vertex_ids[:: 7])
+        problem = AMLEProblem(G, boundary, {v: 0.0 for v in boundary})
+        assert max(g for g, _ in bucket_layout(problem)[0]) <= 2
 
     @pytest.mark.parametrize("metric", ["graph", "essential"])
     @pytest.mark.parametrize("init", ["mcshane", "min", "max"])
@@ -525,7 +571,7 @@ class TestReduceatOracle:
         sol = assert_matches_reduceat(problem, tol=1e-10, max_iter=2000, init=init)
         assert sol.converged
         if metric == "essential":
-            # the wall leaves degree-5 rows among degree-8 ones
+            # the wall leaves rows of 3 axis neighbors among rows of 4
             assert bucket_layout(problem)[1] > 0
 
     def test_walled_grid_interior_extension(self):

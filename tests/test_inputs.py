@@ -229,3 +229,41 @@ def test_plain_mapping_vector_data_is_read_per_vertex():
             whitney_extend(G, [0, 4], {0: value, 4: 1.0}, COVER)
     F = whitney_extend(G, [0, 4], {0: 0, 4: np.float32(1.0)}, COVER)
     assert (F.values[0], F.values[4]) == ((0.0,), (1.0,))
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, site in SITES.items() if site[2] and name != "whitney_extend"]
+)
+def test_scalar_fields_refuse_vector_values(name):
+    """A vector is not a number: the first vertex read with one is named,
+    whether it is the only vector or every value is one."""
+    call, _, field_name, om, f, at, _ = SITES[name]
+    with pytest.raises(InputError, match=f"^{field_name} not a number at vertex {at}$"):
+        call(om, {**f, at: (0.5, 0.5)})
+    with pytest.raises(InputError, match=f"^{field_name} not a number at vertex {min(f)}$"):
+        call(om, {v: (x, x) for v, x in f.items()})
+
+
+def test_a_scalar_field_keyed_by_its_vertices_refuses_vector_values():
+    with pytest.raises(InputError, match="^u not a number at vertex 0$"):
+        lipschitz_constant(G, {0: (0.1, 0.2), 2: (0.3, 0.4)})
+
+
+def test_vector_field_norms_read_entries_as_numbers():
+    """``sup_norm`` and ``norm_of`` refuse what ``whitney_extend`` refuses."""
+    for value in ("12", b"3", True, np.True_):
+        for vf in (VectorField({0: (value,)}), VectorField({0: (value, 2)}),
+                   as_vector_field({0: value})):
+            with pytest.raises(InputError, match="^boundary data not finite at vertex 0$"):
+                whitney_extend(G, [0, 4], VectorField({**vf.values, 4: vf.values[0]}), COVER)
+            with pytest.raises(InputError, match="^vector field not finite at vertex 0$"):
+                vf.sup_norm()
+        with pytest.raises(
+            InputError, match="^vector entries must be numbers, not strings or booleans$"
+        ):
+            VectorField({0: (1.0,)}).norm_of((value, 2))
+    with pytest.raises(InputError, match="^vector field not finite at vertex 3$"):
+        VectorField({1: (1.0, 0.0), 3: (math.nan, 0.0)}).sup_norm()
+    assert VectorField({1: (1.0, -math.inf)}).sup_norm() == math.inf
+    assert VectorField({1: (3.0, -4.0)}, "euclidean").sup_norm() == 5.0
+    assert VectorField({}).sup_norm() == 0.0
