@@ -282,7 +282,7 @@ def quasiconvexity_constant(
     metric = G._metric(metric_choice)  # a predicate is evaluated once
     if not (R > 0):
         raise InputError("R must be positive")
-    if not (max_pairs >= 1):
+    if not graph._id_type(type(max_pairs)) or not (max_pairs >= 1):
         raise InputError("max_pairs must be a positive integer")
 
     exhaustive = n <= exhaustive_limit
@@ -335,10 +335,11 @@ def doubling_ratios(
     The ratio is ``inf`` when the inner ball has measure zero.  One row
     per (center, r), in the given order.
     """
+    scales = graph._floats(list(scales), "scales").tolist()
     if len(centers) == 0 or len(scales) == 0:
         raise InputError("need at least one center and one scale")
     for r in scales:
-        if not (r > 0) or not np.isfinite(r):
+        if not (isinstance(r, float) and 0 < r < math.inf):
             raise InputError(f"scales must be positive and finite, got {r}")
 
     idx = [G.index_of(c) for c in centers]
@@ -395,6 +396,8 @@ def poincare_constant(
         radii = [r, r / 2, r / 4, r / 8]
     else:
         radii = [float(x) for x in radii]
+        if not radii:
+            raise InputError("explicit radii must be nonempty")
         if any(not (0 < x <= r * (1 + 1e-9)) for x in radii):
             raise InputError("explicit radii must lie in (0, r]")
     # no radius exceeds rmax and a ball of radius rad has diameter below
@@ -682,7 +685,8 @@ def local_to_global_gradient(
     if not (R > 0):
         raise InputError("scale R must be positive")
     floor = u_norm / R
-    return {int(k): float(max(v, floor)) for k, v in g.items()}
+    ids = graph._sorted_ids(g)
+    return dict(zip(ids, np.maximum(_values(g, ids, "g", allow_inf=True), floor).tolist()))
 
 
 # -- quantitative constants --------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -29,6 +29,8 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from .graph import (
     Metric,
     MetricMeasureGraph,
+    _chunk_sources,
+    _distance_blocks,
     _distance_rows,
     _floats,
     _max_slope,
@@ -233,49 +235,44 @@ def truncate_extend(
 
 
 def _greedy_net(
-    G: MetricMeasureGraph,
-    cols: np.ndarray,
-    sep: float,
-    each_row: Callable[[np.ndarray], object] = lambda d: None,
+    G: MetricMeasureGraph, cols: np.ndarray, sep: float
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Nearest-center cells of the greedy sep-separated net of the points
     ``cols`` (vertex indices, scanned in order).
 
     A point becomes a center when no earlier center lies within sep of it,
-    and every point joins its nearest center, the first on ties, so cells
-    have radius < sep and diameter <= 2 sep.  Each point's row is read
-    once, from a search truncated at 2 sep + LENGTH_TOL
-    (``graph._distance_rows``) restricted to the points, and is passed to
-    ``each_row``.  A cell is wide when some member's row misses another
-    member: the bound through the center holds only up to rounding.  Per
-    row only the points within the limit are kept, so memory grows with
-    the ball size, not len(cols)**2.
+    and every point joins its nearest center, the first on ties.  Only
+    centers' rows are read: each kernel call searches the next uncovered
+    points, truncated at sep + LENGTH_TOL, which keeps every distance
+    below sep as an untruncated search gives it (``_distance_blocks``).
 
     Returns each point's cell, each cell's points (positions in ``cols``,
     in order; cells in the order their centers were chosen) and each
-    cell's wide flag.
+    cell's reach 2 far (1 + n 2**-49), far its largest member distance:
+    by the path through the center, no search reports a distance between
+    members above it (``analysis._diameters``).
     """
-    limit = 2.0 * sep + LENGTH_TOL
-    mind = np.full(cols.size, math.inf)
-    near: list[tuple[np.ndarray, np.ndarray]] = []  # per center: points within sep
-    close: list[np.ndarray] = []
-    for i, row in enumerate(_distance_rows(G, cols, limit=limit)):
-        d = row[cols]
-        if mind[i] >= sep:
-            np.minimum(mind, d, out=mind)
-            j = (d < sep).nonzero()[0]
-            near.append((j, d[j]))
-        close.append((d <= limit).nonzero()[0].astype(np.int32))
-        each_row(d)
-    ci = np.concatenate([np.full(j.size, c) for c, (j, _) in enumerate(near)])
-    cj = np.concatenate([j for j, _ in near])
-    order = np.lexsort((ci, np.concatenate([dj for _, dj in near]), cj))
-    assign = ci[order[np.r_[True, np.diff(cj[order]) != 0]]]
-    size = np.bincount(assign, minlength=len(near))
-    members = np.split(np.argsort(assign, kind="stable"), np.cumsum(size)[:-1])
-    held = np.asarray([np.count_nonzero(assign[c] == assign[a]) for a, c in enumerate(close)])
-    wide = np.bincount(assign[held < size[assign]], minlength=len(near)) > 0
-    return assign, members, wide
+    ids, step = G.vertex_ids, _chunk_sources(G.n_vertices)
+    mind = np.full(cols.size, math.inf)  # distance to the point's center
+    assign = np.zeros(cols.size, dtype=np.int64)
+    centers, at = 0, 0
+    while (todo := at + np.flatnonzero(mind[at:] >= sep)[:step]).size:
+        rows = G.distances_from(ids[cols[todo]].tolist(), limit=sep + LENGTH_TOL)
+        for i, row in zip(todo.tolist(), np.atleast_2d(rows)):
+            if mind[i] >= sep:
+                d = row[cols]
+                won = (d < sep) & (d < mind)
+                mind[won], assign[won] = d[won], centers
+                centers += 1
+        at = int(todo[-1]) + 1
+    members = np.split(np.argsort(assign, kind="stable"), np.cumsum(np.bincount(assign))[:-1])
+    far = np.array([mind[m].max() for m in members])
+    return assign, members, 2.0 * far * (1.0 + G.n_vertices * 2.0**-49)
+
+
+def _diameter(G: MetricMeasureGraph, idx: np.ndarray, limit: float) -> float:
+    """Largest distance among ``idx`` on rows truncated at ``limit`` (inf past it)."""
+    return max(float(np.max(r[idx])) for r in _distance_rows(G, idx, limit=limit))
 
 
 def nagata_cover(
@@ -287,27 +284,28 @@ def nagata_cover(
     """Greedy scale-s cover of a vertex set with empirical multiplicity.
 
     The sets are the cells of ``_greedy_net`` at separation s over the
-    points in id order; a wide cell is refused with its exact diameter.
-    Multiplicity is certified by probing every closed ball of radius s/2,
-    read from the net's own rows: each such probe has diameter <= s, and
-    the recorded n + 1 is the largest member count any probe met.
+    points in id order; a cell reaching past 2s + LENGTH_TOL is refused
+    if its exact diameter is.  Multiplicity is certified by probing every
+    closed ball of radius s/2, from one pass truncated at s/2: each such
+    probe has diameter <= s, and the recorded n + 1 is the largest member
+    count any probe met.
     """
     if not (s > 0) or not np.isfinite(s):
         raise InputError("scale s must be positive and finite")
     pts, cols = _vertex_set(G, G.vertex_ids.tolist() if points is None else points, "points")
-    probes: list[np.ndarray] = []
-    assign, members, wide = _greedy_net(
-        G, cols, s, lambda d: probes.append((d <= s / 2.0).nonzero()[0])
-    )
-    if wide.any():
-        rows = cols[members[int(np.argmax(wide))]]
-        diam = max(float(np.max(r[rows])) for r in _distance_rows(G, rows))
-        raise CertifyError(f"cover set diameter {diam} exceeds 2s = {2 * s}")
+    assign, members, reach = _greedy_net(G, cols, s)
+    for c in np.flatnonzero(reach > 2.0 * s + LENGTH_TOL).tolist():
+        diam = _diameter(G, cols[members[c]], math.inf)
+        if diam > 2.0 * s + LENGTH_TOL:
+            raise CertifyError(f"cover set diameter {diam} exceeds 2s = {2 * s}")
 
-    k, n_centers = len(pts), len(members)
-    owner = np.repeat(np.arange(k), [b.size for b in probes])
-    met = np.unique(owner * n_centers + assign[np.concatenate(probes)])
-    counts = np.bincount(met // n_centers, minlength=k)
+    counts = []  # per probe, the number of cells it meets
+    for _, rows in _distance_blocks(G, cols, limit=s / 2.0):
+        owner, j = (rows[:, cols] <= s / 2.0).nonzero()
+        met = np.zeros((len(rows), len(members)), dtype=bool)
+        met[owner, assign[j]] = True
+        counts.append(met.sum(axis=1))
+    counts = np.concatenate(counts)
     probe_max = int(counts.max())
     return NagataCover(
         sets=tuple(tuple(pts[j] for j in m.tolist()) for m in members),
@@ -316,7 +314,7 @@ def nagata_cover(
         n=max(0, probe_max - 1),
         probe_stats={
             "probe_family": "closed balls of radius s/2",
-            "probes": k,
+            "probes": len(pts),
             "max_multiplicity": probe_max,
             "witness_center": pts[int(np.argmax(counts))],
         },
@@ -338,9 +336,10 @@ def whitney_cover(
     d(B_i, Omega) directly.  Every invariant is validated; violations
     raise instead of degrading.  Exterior vertices unreachable from Omega
     are excluded and recorded.  Besides one search from Omega and the
-    net's batched pass per annulus, each block makes one min-only search
-    truncated at d(B_i, Omega), read for both its anchor and its weights
-    (delta < 1/2), and one from its anchor for the proximity audit.
+    net's searches from its centers per annulus, each block makes one
+    min-only search truncated at d(B_i, Omega), read for both its anchor
+    and its weights (delta < 1/2), and one from its anchor for the
+    proximity audit; a block reaching past its bound is audited too.
     """
     om, om_idx = _vertex_set(G, omega, "Omega")
     if not (alpha > 0) or not (beta > 0):
@@ -360,8 +359,8 @@ def whitney_cover(
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
     for k in np.unique(level[live]).tolist():
         ann = np.flatnonzero(live & (level == k))
-        _, cells, wide = _greedy_net(G, ann, alpha * 2.0 ** (k - 1))
-        for cell, is_wide in zip(cells, wide):
+        _, cells, reaches = _greedy_net(G, ann, alpha * 2.0 ** (k - 1))
+        for cell, reach in zip(cells, reaches.tolist()):
             bi, pts = len(blocks), ann[cell]
             base = float(np.min(D[pts]))
             blocks.append(tuple(ids[pts].tolist()))
@@ -372,10 +371,10 @@ def whitney_cover(
             anchors.append(om[int(np.argmax(dom <= np.min(dom) + 1e-15))])
             near = np.flatnonzero((row < delta * base) & ext)
             parts.append((near, np.full(near.size, bi), delta * base - row[near]))
-            # a cell that is not wide has diam <= 2 sep + LENGTH_TOL <= bound
-            if is_wide:
-                bound = alpha * base + LENGTH_TOL
-                diam = max(float(np.max(r[pts])) for r in _distance_rows(G, pts, limit=bound))
+            # no search reports two members further apart than the reach
+            bound = alpha * base + LENGTH_TOL
+            if reach > bound:
+                diam = _diameter(G, pts, bound)
                 if diam > bound:
                     raise CertifyError(
                         f"block {bi} diameter {diam} exceeds alpha*d = {alpha * base}"
@@ -453,4 +452,4 @@ def vector_lipschitz_constant(
     """Largest norm(f(x) - f(y)) / d(x, y) over pairs in the field's domain."""
     keys, idx = _vertex_set(G, vf.values, "vector field")
     vals = _values(vf.values, keys, "vector field", vector=True)
-    return _max_slope(G, keys, idx, vals, vf._norms, metric)
+    return _max_slope(G, idx, vals, vf._norms, metric)

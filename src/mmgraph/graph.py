@@ -395,16 +395,6 @@ class MetricMeasureGraph:
         nearest[reach] = self._ids[srcs[reach]]
         return dist, nearest
 
-    def distance_matrix(
-        self,
-        source_ids: Sequence[int] | None = None,
-        mask: Metric = None,
-    ) -> np.ndarray:
-        """Rows of the all-pairs distance matrix (all vertices by default)."""
-        if source_ids is None:
-            source_ids = [int(v) for v in self._ids]
-        return np.atleast_2d(self.distances_from(source_ids, mask=mask))
-
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -476,6 +466,14 @@ def _distance_rows(
 _MISSING = object()
 
 
+def _sorted_ids(vertices: Iterable[int]) -> list[int]:
+    """Ascending Python ints; ``InputError`` names the first id not an int."""
+    ids = list(vertices)
+    if not all(map(_id_type, set(map(type, ids)))):
+        raise InputError(f"unknown vertex id {next(v for v in ids if not _id_type(type(v)))}")
+    return sorted(map(int, ids))
+
+
 def _vertex_set(
     G: MetricMeasureGraph, vertices: Iterable[int], what: str
 ) -> tuple[list[int], np.ndarray]:
@@ -485,10 +483,7 @@ def _vertex_set(
     else for an empty set, else for the first id, in ascending order, that
     is unknown or repeated; ``what`` names the set.
     """
-    ids = list(vertices)
-    if not all(map(_id_type, set(map(type, ids)))):
-        raise InputError(f"unknown vertex id {next(v for v in ids if not _id_type(type(v)))}")
-    ids = sorted(map(int, ids))
+    ids = _sorted_ids(vertices)
     if not ids:
         raise InputError(f"{what} must be nonempty")
     idx = []
@@ -849,13 +844,13 @@ def lipschitz_constant(
         i, j = np.triu_indices(len(keys), k=1)
         d = [float(metric(keys[a], keys[b])) for a, b in zip(i, j)]
         return _max_ratio(np.abs(vals[i] - vals[j]), np.asarray(d))
-    return _max_slope(G, keys, idx, vals, np.abs, metric)
+    return _max_slope(G, idx, vals, np.abs, metric)
 
 
-def _max_slope(G, keys, idx, vals, size, metric) -> float:
-    """Largest ``size(vals[a] - vals[b]) / d(keys[a], keys[b])`` over pairs of
-    keys, whose vertex indices are ``idx``: ``vals`` holds one value (or
-    row) per key, and ``size`` maps the differences of many pairs to their
+def _max_slope(G, idx, vals, size, metric) -> float:
+    """Largest ``size(vals[a] - vals[b]) / d(idx[a], idx[b])`` over pairs of
+    distinct vertex indices ``idx``: ``vals`` holds one value (or row) per
+    index, and ``size`` maps the differences of many pairs to their
     sizes (``abs``, or a vector norm)."""
     metric = G._metric(metric)
     pos = np.full(G.n_vertices, -1, dtype=np.int64)
@@ -866,12 +861,13 @@ def _max_slope(G, keys, idx, vals, size, metric) -> float:
         # whole components: a geodesic's difference is at most the sum of
         # its edges' differences, so the largest ratio is an edge slope
         inner = i >= 0
-        i, j, d = i[inner], j[inner], d[inner]
-    else:
-        rows = np.atleast_2d(G.distances_from(keys, mask=metric))
-        i, j = np.triu_indices(idx.size, k=1)
-        d = rows[i, idx[j]]
-    return _max_ratio(size(vals[i] - vals[j]), d)
+        return _max_ratio(size(vals[i[inner]] - vals[j[inner]]), d[inner])
+    best = 0.0  # each pair from its smaller key's row, one kernel call at a time
+    for chunk, rows in _distance_blocks(G, idx, metric):
+        a = pos[chunk]
+        r, j = np.nonzero(np.arange(idx.size) > a[:, None])
+        best = max(best, _max_ratio(size(vals[a[r]] - vals[j]), rows[r, idx[j]]))
+    return best
 
 
 def _max_ratio(du: np.ndarray, d: np.ndarray) -> float:

@@ -78,6 +78,14 @@ def random_geometric_graph(rng, n, connect=True):
     )
 
 
+def distance_matrix(G, source_ids=None, mask=None):
+    """Rows of the dense all-pairs distance matrix (all vertices by default),
+    from one untruncated search."""
+    if source_ids is None:
+        source_ids = G.vertex_ids.tolist()
+    return np.atleast_2d(G.distances_from(source_ids, mask=mask))
+
+
 def brute_force_distance(G, x, y, edge_filter=None):
     """Bellman-Ford style relaxation, independent of the Dijkstra code."""
     ids = [int(v) for v in G.vertex_ids]

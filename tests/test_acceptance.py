@@ -18,6 +18,7 @@ import pytest
 
 from conftest import (
     brute_force_distance,
+    distance_matrix,
     l_complex,
     make_graph,
     path_graph,
@@ -218,8 +219,8 @@ def test_c05_essential_distance():
         want = brute_force_distance(G, x, y, edge_filter=lambda e: e.mu_edge > 0)
         assert got == want, f"essential d({x},{y}) = {got} != brute force {want}"
 
-    D = G.distance_matrix()
-    De = G.distance_matrix(mask=G.positive_edge_mask())
+    D = distance_matrix(G)
+    De = distance_matrix(G, mask=G.positive_edge_mask())
     assert np.all(D <= De + 1e-12), "graph metric exceeds essential metric"
     shortcut_gain = De[G.index_of(p), G.index_of(q)] - D[G.index_of(p), G.index_of(q)]
     assert shortcut_gain > 0.5, "zero-measure shortcut did not separate the metrics"
@@ -309,7 +310,7 @@ def test_c08_constant_ledger():
 def test_c09_carpet_degeneracy():
     G = gen_carpet(3, negligible_mode="all")
     ids = [int(v) for v in G.vertex_ids]
-    De = G.distance_matrix(mask=G.positive_edge_mask())
+    De = distance_matrix(G, mask=G.positive_edge_mask())
     off = ~np.eye(len(ids), dtype=bool)
     assert np.all(np.isinf(De[off])), "some essential distance finite"
     assert essential_distance(G, ids[0], ids[-1]) == math.inf

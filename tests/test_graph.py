@@ -21,7 +21,13 @@ from mmgraph import (
 from mmgraph.graph import _slot
 from mmgraph.util import dump_json
 
-from conftest import brute_force_distance, make_graph, path_graph, random_geometric_graph
+from conftest import (
+    brute_force_distance,
+    distance_matrix,
+    make_graph,
+    path_graph,
+    random_geometric_graph,
+)
 
 
 class TestValidation:
@@ -390,7 +396,7 @@ class TestShortestPath:
 class TestDistancesBulk:
     def test_matrix_matches_pairwise(self, rng):
         G = random_geometric_graph(rng, 20)
-        D = G.distance_matrix()
+        D = distance_matrix(G)
         for i in range(0, 20, 5):
             for j in range(0, 20, 7):
                 want = shortest_path(G, int(G.vertex_ids[i]), int(G.vertex_ids[j])).length

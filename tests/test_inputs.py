@@ -19,12 +19,15 @@ from mmgraph import (
     InputError,
     VectorField,
     as_vector_field,
+    doubling_ratios,
     hajlasz_gradient_from_upper,
     infinity_harmonic_extend,
     lipschitz_constant,
+    local_to_global_gradient,
     mcshane_extend,
     nagata_cover,
     poincare_constant,
+    quasiconvexity_constant,
     solve_amle,
     truncate_extend,
     vector_lipschitz_constant,
@@ -267,3 +270,35 @@ def test_vector_field_norms_read_entries_as_numbers():
     assert VectorField({1: (1.0, -math.inf)}).sup_norm() == math.inf
     assert VectorField({1: (3.0, -4.0)}, "euclidean").sup_norm() == 5.0
     assert VectorField({}).sup_norm() == 0.0
+
+
+@pytest.mark.parametrize("value", ["1", (1.0, 2.0), math.nan, True, b"3"])
+def test_local_to_global_gradient_reads_its_values_as_numbers(value):
+    with pytest.raises(InputError, match="^g not (finite|a number) at vertex 0$"):
+        local_to_global_gradient({0: value, 1: 2.0}, u_norm=1.0, R=1.0)
+
+
+@pytest.mark.parametrize("vid", [1.7, 1.0, True])
+def test_local_to_global_gradient_keys_are_int_ids(vid):
+    with pytest.raises(InputError, match=f"^unknown vertex id {vid}$"):
+        local_to_global_gradient({vid: 2.0}, u_norm=1.0, R=1.0)
+
+
+def test_local_to_global_gradient_keeps_infinities_and_int_keys():
+    out = local_to_global_gradient({np.int64(3): math.inf, 1: 0.5}, u_norm=2.0, R=2.0)
+    assert out == {1: 1.0, 3: math.inf}
+    assert [type(k) for k in out] == [int, int]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: poincare_constant(G, TOTAL, TOTAL, 1.0, 1.0, radii=[]),
+     "explicit radii must be nonempty"),
+    (lambda: quasiconvexity_constant(G, max_pairs=1.5), "max_pairs must be a positive integer"),
+    (lambda: quasiconvexity_constant(G, max_pairs=True), "max_pairs must be a positive integer"),
+    (lambda: doubling_ratios(G, [0], ["0.1"]), "scales must be numbers, not strings or booleans"),
+    (lambda: doubling_ratios(G, [0], [True]), "scales must be numbers, not strings or booleans"),
+    (lambda: doubling_ratios(G, [0], [[0.1]]), r"scales must be positive and finite, got \[0.1\]"),
+])
+def test_scalar_parameters_refuse_what_they_cannot_read(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()

@@ -20,12 +20,12 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import mmgraph.extension as ext_mod
 import mmgraph.graph as graph_mod
-from conftest import make_graph
+from conftest import distance_matrix, make_graph
 from mmgraph import (
     Ball,
     CertifyError,
@@ -36,15 +36,19 @@ from mmgraph import (
     PoincareRow,
     QCRow,
     QuasiconvexityReport,
+    VectorField,
     WhitneyData,
+    as_vector_field,
     ball,
     components,
     doubling_ratios,
     gen_grid,
     hajlasz_gradient_from_upper,
+    lipschitz_constant,
     nagata_cover,
     poincare_constant,
     quasiconvexity_constant,
+    vector_lipschitz_constant,
     verify_hajlasz,
     whitney_cover,
 )
@@ -555,7 +559,7 @@ def dense_nagata(G, s, target_n=None, points=None):
     pts = [int(v) for v in G.vertex_ids] if points is None else sorted(points)
     k = len(pts)
     cols = [G.index_of(v) for v in pts]
-    dmat = G.distance_matrix(pts)[:, cols]
+    dmat = distance_matrix(G, pts)[:, cols]
     mind = np.full(k, math.inf)
     center_rows = []
     for i in range(k):
@@ -652,23 +656,37 @@ class TestNagataOracle:
 
     @pytest.mark.parametrize("per_call", [7, None])
     def test_kernel_calls(self, per_call, monkeypatch):
+        """The net searches batches of uncovered points at s + LENGTH_TOL,
+        each batch holding at least one new center, and the probes are one
+        pass at s/2; no cell of the grid is audited."""
         G = gen_grid(1 / 12, (0.0, 0.0, 1.0, 1.0))
         n = G.n_vertices
         if per_call is not None:
             monkeypatch.setattr(graph_mod, "_CHUNK_ENTRIES", per_call * n)
-        calls = []
-        orig = MetricMeasureGraph.distances_from
-
-        def counting(self, *args, **kwargs):
-            calls.append(1)
-            return orig(self, *args, **kwargs)
-
-        monkeypatch.setattr(MetricMeasureGraph, "distances_from", counting)
+        limits = []
+        monkeypatch.setattr(MetricMeasureGraph, "distances_from", counting(limits))
+        step = graph_mod._chunk_sources(n)
         ids = [int(v) for v in G.vertex_ids]
         for pts in (ids, ids[::3]):
-            calls.clear()
-            nagata_cover(G, 0.2, points=pts)
-            assert len(calls) == math.ceil(len(pts) / graph_mod._chunk_sources(n))
+            limits.clear()
+            cover = nagata_cover(G, 0.2, points=pts)
+            centers, probes = limits.count(0.2 + LENGTH_TOL), limits.count(0.1)
+            assert math.ceil(len(cover.sets) / step) <= centers <= len(cover.sets)
+            if per_call is None:
+                assert centers == 1  # every point fits in one call
+            assert probes == math.ceil(len(pts) / step)
+            assert len(limits) == centers + probes
+
+
+def counting(limits):
+    """``distances_from`` recording each call's limit in ``limits``."""
+    orig = MetricMeasureGraph.distances_from
+
+    def wrapped(self, *args, limit=math.inf, **kwargs):
+        limits.append(limit)
+        return orig(self, *args, limit=limit, **kwargs)
+
+    return wrapped
 
 
 def dense_whitney(G, omega, alpha=2.0, beta=0.5):
@@ -821,9 +839,10 @@ class TestWhitneyOracle:
         """The path of ``test_rounding_past_2s_is_refused_as_dense`` hangs
         from Omega = {11} at vertex 0, with alpha set so that the separation
         of its annulus is just past the path's reach from 0: the path is one
-        cell, wide because the path's ends are more than 2 sep + 1e-9
-        apart.  With d(B, Omega) = 2^43 the exact audit refuses it, as the
-        dense construction does; with 1.25 * 2^43 it passes."""
+        cell whose ends are more than 2 sep + 1e-9 apart, and the cell's
+        reach is past 2 sep + 1e-9, so it is audited.  With d(B, Omega) =
+        2^43 the exact audit refuses it, as the dense construction does;
+        with 1.25 * 2^43 it passes."""
         path = [5, 4, 3, 2, 1, 0, 6, 7, 8, 9, 10]
         lens = [0.7, 0.2, 0.3, 0.2, 0.1, 0.7, 0.2, 0.2, 0.2, 0.2]
         edges = [(a, b, x * 2.0 ** 40) for a, b, x in zip(path, path[1:], lens)]
@@ -831,8 +850,9 @@ class TestWhitneyOracle:
                        edges + [(0, 11, reach * 2.0 ** 43)])
         sep = float(np.nextafter(np.max(G.distances_from([0], min_only=True)[:11]), np.inf))
         alpha = sep / 2.0 ** 42
-        _, cells, wide = ext_mod._greedy_net(G, np.arange(11), sep)
-        assert [c.tolist() for c in cells] == [list(range(11))] and wide.all()
+        _, cells, spans = ext_mod._greedy_net(G, np.arange(11), sep)
+        assert [c.tolist() for c in cells] == [list(range(11))]
+        assert spans[0] > 2.0 * sep + LENGTH_TOL
         got = whitney_outcome(whitney_cover, G, [11], alpha)
         assert got == whitney_outcome(dense_whitney, G, [11], alpha)
         if reach == 1.0:
@@ -858,29 +878,46 @@ class TestWhitneyOracle:
 
     def test_kernel_calls(self, monkeypatch):
         G = gen_grid(1 / 32, (0.0, 0.0, 1.0, 1.0))
-        calls, nets = [], []
-        orig = MetricMeasureGraph.distances_from
+        limits, nets = [], []
         orig_net = ext_mod._greedy_net
 
-        def counting(self, *args, **kwargs):
-            calls.append(1)
-            return orig(self, *args, **kwargs)
-
         def net(*args):
-            nets.append(orig_net(*args))
-            return nets[-1]
+            nets.append((args[2], orig_net(*args)))
+            return nets[-1][1]
 
-        monkeypatch.setattr(MetricMeasureGraph, "distances_from", counting)
+        monkeypatch.setattr(MetricMeasureGraph, "distances_from", counting(limits))
         monkeypatch.setattr(ext_mod, "_greedy_net", net)
         cover = whitney_cover(G, disc_omega(G))
-        # one search from Omega, the batched pass of each annulus's net, and
+        # one search from Omega, the net's searches from its centers, and
         # per block one search from the block and one from its anchor; a
-        # wide cell adds its exact diameter audit
+        # block reaching past alpha * base + LENGTH_TOL adds its audit
         step = graph_mod._chunk_sources(G.n_vertices)
-        passes = sum(math.ceil(assign.size / step) for assign, _, _ in nets)
-        wide = sum(int(w.sum()) for _, _, w in nets)
+        centers = [limits.count(sep + LENGTH_TOL) for sep, _ in nets]
+        for (_, (_, cells, _)), calls in zip(nets, centers):
+            assert math.ceil(len(cells) / step) <= calls <= len(cells)
+        reach = np.concatenate([r for _, (_, _, r) in nets])
+        audits = sum(math.ceil(len(b) / step) for b, r, d in zip(
+            cover.blocks, reach, cover.base_dists) if r > 2.0 * d + LENGTH_TOL)
         assert len(nets) == len(set(np.frexp(cover.base_dists)[1].tolist()))
-        assert len(calls) <= 1 + passes + 2 * len(cover.blocks) + wide
+        assert len(limits) == 1 + sum(centers) + 2 * len(cover.blocks) + audits
+
+    def test_no_cell_of_a_grid_is_audited(self, monkeypatch):
+        """Grid distances are sums of 1/32, so every cell's reach clears its
+        bound and neither cover audits a diameter."""
+        G = gen_grid(1 / 32, (0.0, 0.0, 1.0, 1.0))
+        audited = []
+
+        def diameter(G, idx, limit):
+            audited.append(idx.size)
+            return 0.0
+
+        monkeypatch.setattr(ext_mod, "_diameter", diameter)
+        for s in (0.05, 0.1, 0.25):
+            nagata_cover(G, s)
+        edge = np.min(np.minimum(G.pos, 1.0 - G.pos), axis=1) == 0
+        for omega in (disc_omega(G), G.vertex_ids[edge].tolist()):
+            whitney_cover(G, omega)
+        assert audited == []
 
     def test_peak_memory_at_h_1_64(self):
         G = gen_grid(1 / 64, (0.0, 0.0, 1.0, 1.0))
@@ -892,3 +929,51 @@ class TestWhitneyOracle:
         finally:
             tracemalloc.stop()
         assert peak < 11e6
+
+
+def dense_slope(G, u, size, metric):
+    """The largest slope of ``u`` over pairs of its keys, read from one
+    untruncated search from every key, each pair from its smaller key's
+    row."""
+    keys = sorted(u)
+    idx = np.asarray([G.index_of(k) for k in keys])
+    vals = np.asarray([u[k] for k in keys], dtype=float)
+    rows = np.atleast_2d(G.distances_from(keys, mask=metric))
+    i, j = np.triu_indices(len(keys), k=1)
+    return graph_mod._max_ratio(size(vals[i] - vals[j]), rows[i, idx[j]])
+
+
+class TestLipschitzOracle:
+    @SETTINGS
+    @given(graphs(), CHUNKS, st.data())
+    def test_matches_one_search_from_every_key(self, G, entries, data):
+        ids = [int(v) for v in G.vertex_ids]
+        keys = set(data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True)))
+        metric = data.draw(st.sampled_from(["graph", "essential"]))
+        # data on whole components takes the edge-slope route instead
+        assume(any((e.a in keys) != (e.b in keys) for e in G.edges()
+                   if metric == "graph" or e.mu_edge > 0))
+        values = st.one_of(st.sampled_from([0.0, 1e300, -1e300]), st.floats(-1e3, 1e3))
+        u = {k: data.draw(values) for k in keys}
+        f = VectorField({k: (data.draw(values), data.draw(values)) for k in keys})
+        with chunked(entries):
+            assert lipschitz_constant(G, u, metric) == dense_slope(G, u, np.abs, metric)
+            assert vector_lipschitz_constant(G, f, metric) == dense_slope(
+                G, f.values, f._norms, metric)
+
+    @pytest.mark.parametrize("audit", ["scalar", "vector"])
+    def test_peak_memory_at_h_1_64(self, audit):
+        """Every other vertex of the grid: one kernel call's rows at a time,
+        not the 2113 x 4225 matrix of one search from every key."""
+        G = gen_grid(1 / 64, (0.0, 0.0, 1.0, 1.0))
+        u = {v: float(v % 7) for v in G.vertex_ids[::2].tolist()}
+        tracemalloc.start()
+        try:
+            if audit == "scalar":
+                lipschitz_constant(G, u)
+            else:
+                vector_lipschitz_constant(G, as_vector_field(u))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
