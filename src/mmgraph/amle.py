@@ -62,7 +62,7 @@ other, and ``check_amle_local`` reports residual zero for all of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -477,12 +477,4 @@ def infinity_harmonic_extend(
     sol = solve_amle(sub, tol=tol, max_iter=max_iter, init="mcshane")
     for v in om:
         base_u[v] = sol.u[v]
-    return AMLESolution(
-        u=base_u,
-        residual=sol.residual,
-        iterations=sol.iterations,
-        converged=sol.converged,
-        degenerate_vertices=sol.degenerate_vertices,
-        tol=float(tol),
-        problem=sub,
-    )
+    return replace(sol, u=base_u)

@@ -21,8 +21,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import graph
-from .graph import Ball, Metric, MetricMeasureGraph, _distance_blocks, _distance_rows, _values
-from .util import InputError, LENGTH_TOL, table_text
+from .graph import Ball, Metric, MetricMeasureGraph, _distance_blocks, _sparse_blocks, _values
+from .util import InputError, LENGTH_TOL, fields_dict, table_text
 
 #: Scalar and gradient fields are plain mappings vertex id -> value.
 ScalarField = Mapping[int, float]
@@ -76,15 +76,7 @@ class QuasiconvexityReport:
     rows: tuple[QCRow, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "C": self.C,
-            "R": self.R,
-            "worst_pair": list(self.worst_pair) if self.worst_pair else None,
-            "samples": self.samples,
-            "exhaustive": self.exhaustive,
-            "metric_choice": self.metric_choice,
-            "seed": self.seed,
-        }
+        return fields_dict(self, "rows")
 
     def to_csv(self) -> str:
         return _rows_csv(QCRow, self.rows)
@@ -106,7 +98,7 @@ class DoublingReport:
     rows: tuple[DoublingRow, ...]
 
     def to_dict(self) -> dict:
-        return {"rows": [dict(vars(row)) for row in self.rows]}
+        return {"rows": [fields_dict(row) for row in self.rows]}
 
     def to_csv(self) -> str:
         return _rows_csv(DoublingRow, self.rows)
@@ -148,24 +140,13 @@ class PoincareReport:
     rows: tuple[PoincareRow, ...] = ()
 
     def to_dict(self) -> dict:
-        wb = None
-        if self.witness_ball is not None:
-            wb = {
-                "center": self.witness_ball.center,
-                "radius": self.witness_ball.radius,
-                "members": list(self.witness_ball.members),
-                "measure": self.witness_ball.measure,
-            }
-        return {
-            "lambda": self.lam,
-            "r": self.r,
-            "best_C": self.best_C,
-            "witness_ball": wb,
-            "radii": list(self.radii),
-            "exhaustive_radii": self.exhaustive_radii,
-            "balls_checked": self.balls_checked,
-            "skipped_zero_measure": self.skipped_zero_measure,
-        }
+        """The fields but ``rows``; ``lam`` is written as ``"lambda"`` and
+        the witness ball without ``closed``."""
+        wb = self.witness_ball
+        body = fields_dict(self, "rows", "lam", "witness_ball")
+        body.update({"lambda": self.lam,
+                     "witness_ball": None if wb is None else fields_dict(wb, "closed")})
+        return body
 
     def to_csv(self) -> str:
         return _rows_csv(PoincareRow, self.rows)
@@ -344,12 +325,14 @@ def doubling_ratios(
 
     idx = [G.index_of(c) for c in centers]
     rows: list[DoublingRow] = []
-    for c, dist in zip(centers, _distance_rows(G, idx, limit=2.0 * max(scales))):
-        for r in scales:
-            inner = float(G.mu[dist < r].sum())
-            outer = float(G.mu[dist < 2.0 * r].sum())
-            ratio = outer / inner if inner > 0 else math.inf
-            rows.append(DoublingRow(int(c), float(r), inner, outer, ratio))
+    for chunk, block in _distance_blocks(G, idx, limit=2.0 * max(scales)):
+        # one dense row per listed center, a repeated one included
+        for c, dist in zip(G.vertex_ids[chunk].tolist(), block):
+            for r in scales:
+                inner = float(G.mu[dist < r].sum())
+                outer = float(G.mu[dist < 2.0 * r].sum())
+                ratio = outer / inner if inner > 0 else math.inf
+                rows.append(DoublingRow(c, float(r), inner, outer, ratio))
     return DoublingReport(tuple(rows))
 
 
@@ -547,14 +530,6 @@ def _distance_table(G: MetricMeasureGraph, limit: float):
     # one column at a time, so the pieces of one go before the next is joined
     keys = np.concatenate(keys)
     return np.searchsorted(keys, np.arange(n + 1) * n), keys, np.concatenate(dists)
-
-
-def _sparse_blocks(G: MetricMeasureGraph, source_idx: np.ndarray, limit: float):
-    """``(rows, cols, dists)`` per kernel call of ``_distance_blocks``: the
-    finite entries of the sources' rows in increasing ``(row, col)`` order."""
-    for chunk, block in _distance_blocks(G, source_idx, limit=limit):
-        row, col = np.nonzero(np.isfinite(block))
-        yield chunk[row], col, block[row, col]
 
 
 def _lookup(table, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .util import (
     CertifyError,
     InputError,
     dump_json,
+    fields_dict,
     json_ready,
     parse_float_list,
     parse_int_list,
@@ -315,14 +316,7 @@ def cmd_amle(args) -> int:
             G, omega, dict(data), tol=args.tol, max_iter=args.max_iter
         )
     _write_text(args.out, _scalar_csv(sol.u))
-    payload = {
-        "metric": metric,
-        "tol": sol.tol,
-        "residual": sol.residual,
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-        "degenerate_vertices": list(sol.degenerate_vertices),
-    }
+    payload = dict(fields_dict(sol, "u", "problem"), metric=metric)
     if args.certify and sol.converged:
         res = None
         if not sol.degenerate_vertices:

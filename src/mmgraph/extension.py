@@ -31,14 +31,14 @@ from .graph import (
     MetricMeasureGraph,
     _chunk_sources,
     _distance_blocks,
-    _distance_rows,
     _floats,
     _max_slope,
+    _sparse_blocks,
     _values,
     _vertex_set,
     lipschitz_constant,
 )
-from .util import CertifyError, InputError, LENGTH_TOL
+from .util import CertifyError, InputError, LENGTH_TOL, fields_dict
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,7 @@ class NagataCover:
     exceeded_target: bool
 
     def to_dict(self) -> dict:
-        return {
-            "sets": [list(d) for d in self.sets],
-            "s": self.s,
-            "c": self.c,
-            "n": self.n,
-            "probe_stats": dict(self.probe_stats),
-            "exceeded_target": self.exceeded_target,
-        }
+        return fields_dict(self)
 
 
 @dataclass(frozen=True)
@@ -96,16 +89,7 @@ class WhitneyData:
     omega: frozenset[int]
 
     def to_dict(self) -> dict:
-        return {
-            "blocks": [list(b) for b in self.blocks],
-            "anchors": list(self.anchors),
-            "base_dists": list(self.base_dists),
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "delta": self.delta,
-            "multiplicity": self.multiplicity,
-            "excluded": list(self.excluded),
-        }
+        return fields_dict(self, "sigma", "omega")
 
 
 @dataclass(frozen=True)
@@ -132,7 +116,19 @@ class VectorField:
         """The norm of each row of a 2-D array."""
         if self.norm == "max":
             return np.max(np.abs(rows), axis=1, initial=0.0)
-        return np.sqrt(np.sum(rows * rows, axis=1))
+        with np.errstate(over="ignore"):
+            total = np.sum(rows * rows, axis=1)
+        norms = np.sqrt(total)
+        # a sum of squares that left the normal range is redone on the row
+        # scaled by a power of two near its largest entry, where no square
+        # overflows and the largest does not underflow
+        odd = ~((total >= np.finfo(float).tiny) & (total < math.inf))
+        if odd.any():
+            e = np.frexp(np.max(np.abs(rows[odd]), axis=1, initial=0.0))[1]
+            scaled = np.ldexp(rows[odd], -e[:, None])
+            with np.errstate(over="ignore"):  # a norm past the float range is inf
+                norms[odd] = np.ldexp(np.sqrt(np.sum(scaled * scaled, axis=1)), e)
+        return norms
 
     def norm_of(self, vec: Sequence[float]) -> float:
         """The norm of one vector, whose entries must be numbers (no
@@ -272,7 +268,7 @@ def _greedy_net(
 
 def _diameter(G: MetricMeasureGraph, idx: np.ndarray, limit: float) -> float:
     """Largest distance among ``idx`` on rows truncated at ``limit`` (inf past it)."""
-    return max(float(np.max(r[idx])) for r in _distance_rows(G, idx, limit=limit))
+    return max(float(np.max(rows[:, idx])) for _, rows in _distance_blocks(G, idx, limit=limit))
 
 
 def nagata_cover(
@@ -299,13 +295,15 @@ def nagata_cover(
         if diam > 2.0 * s + LENGTH_TOL:
             raise CertifyError(f"cover set diameter {diam} exceeds 2s = {2 * s}")
 
-    counts = []  # per probe, the number of cells it meets
-    for _, rows in _distance_blocks(G, cols, limit=s / 2.0):
-        owner, j = (rows[:, cols] <= s / 2.0).nonzero()
-        met = np.zeros((len(rows), len(members)), dtype=bool)
-        met[owner, assign[j]] = True
-        counts.append(met.sum(axis=1))
-    counts = np.concatenate(counts)
+    # per probe, the number of cells it meets: its distinct (probe, cell) pairs
+    at = np.full(G.n_vertices, -1)  # each vertex's position among the points
+    at[cols] = np.arange(cols.size)
+    counts = np.zeros(cols.size, dtype=np.int64)
+    for probe, v, d in _sparse_blocks(G, cols, s / 2.0):
+        j = at[v]
+        hit = (j >= 0) & (d <= s / 2.0)
+        pairs = np.unique(at[probe[hit]] * len(members) + assign[j[hit]])
+        counts += np.bincount(pairs // len(members), minlength=cols.size)
     probe_max = int(counts.max())
     return NagataCover(
         sets=tuple(tuple(pts[j] for j in m.tolist()) for m in members),

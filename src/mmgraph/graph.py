@@ -416,13 +416,13 @@ class MetricMeasureGraph:
         return {"vertices": verts, "edges": edges}
 
 
-#: Distance entries per kernel call of ``_distance_rows``: 2**17 float64
+#: Distance entries per kernel call of ``_distance_blocks``: 2**17 float64
 #: entries, 1 MB of output per call whatever the graph's size.
 _CHUNK_ENTRIES = 1 << 17
 
 
 def _chunk_sources(n: int) -> int:
-    """Sources per kernel call of ``_distance_rows`` on an n-vertex graph."""
+    """Sources per kernel call of ``_distance_blocks`` on an n-vertex graph."""
     return max(1, _CHUNK_ENTRIES // max(n, 1))
 
 
@@ -450,16 +450,14 @@ def _distance_blocks(
         yield chunk, np.atleast_2d(rows)
 
 
-def _distance_rows(
-    G: MetricMeasureGraph,
-    source_idx: Sequence[int],
-    metric: Metric = None,
-    limit: float = np.inf,
-) -> Iterator[np.ndarray]:
-    """The distance row (by vertex index) of each source index, in order,
-    from the kernel calls of ``_distance_blocks``."""
-    for _, rows in _distance_blocks(G, source_idx, metric, limit):
-        yield from rows
+def _sparse_blocks(G: MetricMeasureGraph, source_idx: np.ndarray, limit: float):
+    """``(rows, cols, dists)`` per kernel call of ``_distance_blocks``: the
+    finite entries of the sources' rows in increasing ``(row, col)`` order.
+    Rows are vertex indices, so a source listed twice cannot be told apart
+    from one listed once: a row per listed source needs ``_distance_blocks``."""
+    for chunk, block in _distance_blocks(G, source_idx, limit=limit):
+        row, col = np.nonzero(np.isfinite(block))
+        yield chunk[row], col, block[row, col]
 
 
 #: Stands for a vertex that a field has no value at.

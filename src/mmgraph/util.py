@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import json
 from typing import Callable, Sequence, TypeVar
@@ -36,7 +37,7 @@ def ordered_map(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
     """Map ``fn`` over ``items`` in order, sequentially.
 
     The report scans no longer call it: they iterate over the rows of
-    batched distance searches (``graph._distance_rows``).  It is kept as
+    batched distance searches (``graph._distance_blocks``).  It is kept as
     a named entry point, which the benchmark's tracer in
     ``perfbench/spans.py`` looks up by name.  ``MMGRAPH_THREADS`` is
     accepted for compatibility and ignored: a thread pool here measured
@@ -71,6 +72,13 @@ def json_ready(value: object) -> object:
     if isinstance(value, np.floating):
         return float(value)
     return value
+
+
+def fields_dict(obj: object, *drop: str) -> dict:
+    """The fields of the dataclass instance ``obj`` but those named in
+    ``drop``, by name, as JSON types (``json_ready``): the body of a report."""
+    return {f.name: json_ready(getattr(obj, f.name))
+            for f in dataclasses.fields(obj) if f.name not in drop}
 
 
 #: Rows per ``%`` template in ``table_text``.

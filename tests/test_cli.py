@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import make_graph, path_graph
 from mmgraph import (
-    MeshSpec, MetricMeasureGraph, components, gen_grid, save_graph, shortest_path,
+    MeshSpec, MetricMeasureGraph, components, gen_grid, nagata_cover, save_graph,
+    shortest_path,
 )
 from mmgraph.cli import _scalar_csv, main, read_scalar_csv, read_vector_csv
 from mmgraph.util import dump_json, parse_int_list
@@ -500,6 +501,75 @@ class TestAmleCommand:
         payload = json.loads(rep.read_text())
         assert payload["converged"] is False
         assert payload["iterations"] == 0
+
+
+class TestReportKeys:
+    """Each report has the keys that FORMATS.md "Report JSON" lists for its
+    command, plus the envelope; a body read off a result type's fields
+    must neither gain nor lose one."""
+
+    ENVELOPE = {"schema_version", "command", "seed"}
+    BALL = {"center", "radius", "members", "measure"}
+    PI = {"lambda", "r", "best_C", "witness_ball", "radii", "exhaustive_radii",
+          "balls_checked", "skipped_zero_measure"}
+    COVER = {"blocks", "anchors", "base_dists", "alpha", "beta", "delta",
+             "multiplicity", "excluded"}
+    VECTOR = {"sup_norm_data", "sup_norm_extension", "lip_data", "lip_extension",
+              "expansion_factor"}
+    AMLE = {"metric", "tol", "residual", "iterations", "converged", "degenerate_vertices"}
+
+    def report(self, tmp_path, *argv):
+        rep = tmp_path / "r.json"
+        assert run(*argv, "--report", rep) == 0
+        return json.loads(rep.read_text())
+
+    def test_qc_and_doubling(self, grid_path, tmp_path):
+        qc = self.report(tmp_path, "qc", "--graph", grid_path, "--R", "0.6")
+        assert set(qc) == self.ENVELOPE | {
+            "C", "R", "worst_pair", "samples", "exhaustive", "metric_choice"}
+        db = self.report(tmp_path, "doubling", "--graph", grid_path,
+                         "--centers", "12,0,12", "--scales", "0.3,0.6")
+        assert set(db) == self.ENVELOPE | {"rows"}
+        assert len(db["rows"]) == 6
+        for row in db["rows"]:
+            assert set(row) == {"center", "r", "inner_measure", "outer_measure", "ratio"}
+
+    @pytest.mark.parametrize("u", [lambda i: i * 0.1, lambda i: 2.0], ids=["witness", "none"])
+    def test_pi_check(self, path11, tmp_path, u):
+        u_csv, rho_csv = tmp_path / "u.csv", tmp_path / "rho.csv"
+        write_csv(u_csv, [(i, u(i)) for i in range(11)])
+        write_csv(rho_csv, [(i, 1.0) for i in range(11)])
+        pi = self.report(tmp_path, "pi-check", "--graph", path11, "--u", u_csv,
+                         "--rho", rho_csv, "--lam", 1.0, "--r", 0.3)
+        assert set(pi) == self.ENVELOPE | self.PI
+        if u(1) == 2.0:
+            assert pi["witness_ball"] is None
+        else:
+            assert set(pi["witness_ball"]) == self.BALL
+
+    def test_whitney(self, grid_path, tmp_path):
+        cover = self.report(tmp_path, "whitney", "--graph", grid_path, "--omega", "0,1,5")
+        assert set(cover) == self.ENVELOPE | self.COVER
+        b_csv = tmp_path / "f.csv"
+        write_csv(b_csv, [(0, 1.0, 2.0), (1, 0.5, 1.5), (5, -1.0, 0.0)],
+                  header=("vertex_id", "v0", "v1"))
+        full = self.report(tmp_path, "whitney", "--graph", grid_path, "--boundary", b_csv,
+                           "--out", tmp_path / "F.csv", "--certify")
+        assert set(full) == self.ENVELOPE | self.COVER | self.VECTOR | {"certified"}
+
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_amle(self, path11, tmp_path, certify):
+        b_csv = tmp_path / "b.csv"
+        write_csv(b_csv, [(0, 0.0), (10, 1.0)])
+        rep = self.report(tmp_path, "amle", "--graph", path11, "--boundary", b_csv,
+                          "--whole-boundary", "--out", tmp_path / "u.csv",
+                          *(["--certify"] if certify else []))
+        extra = {"certified", "local_residual"} if certify else set()
+        assert set(rep) == self.ENVELOPE | self.AMLE | extra
+
+    def test_nagata_cover(self):
+        cover = nagata_cover(gen_grid(0.25, (0.0, 0.0, 1.0, 1.0)), 0.5)
+        assert set(cover.to_dict()) == {"sets", "s", "c", "n", "probe_stats", "exceeded_target"}
 
 
 class TestErrorPaths:

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmgraph import (
     CertifyError,
@@ -306,6 +308,26 @@ class TestVectorField:
         ve = VectorField({0: (3.0, -4.0)}, norm="euclidean")
         assert ve.norm_of((3.0, -4.0)) == 5.0
         assert vf.sup_norm() == 4.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("vec, norm", [
+        ((1e300, 0.0), 1e300), ((1e-200, 0.0), 1e-200), ((0.0, -1.7e308), 1.7e308),
+        ((5e-324, 0.0), 5e-324), ((1.7e308, 1.7e308), math.inf),
+    ])
+    def test_euclidean_norm_neither_overflows_nor_underflows(self, vec, norm):
+        assert VectorField({0: vec}, "euclidean").sup_norm() == norm
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim),
+        min_size=1, max_size=6)))
+    def test_euclidean_norm_is_the_plain_one_where_that_is_normal(self, rows):
+        rows = np.array(rows)
+        with np.errstate(over="ignore", under="ignore"):
+            plain = np.sum(rows * rows, axis=1)
+        normal = np.isfinite(plain) & (plain >= np.finfo(float).tiny)
+        got = VectorField({}, "euclidean")._norms(rows)[normal]
+        assert got.tobytes() == np.sqrt(plain[normal]).tobytes()
 
     def test_as_vector_field_scalars(self):
         vf = as_vector_field({0: 1.0, 1: -2.0})

@@ -259,7 +259,7 @@ def brute_slope(H, f, norm="max"):
             if norm == "max":
                 size = max(abs(t) for t in diff)
             else:
-                size = math.sqrt(sum(t * t for t in diff))
+                size = math.hypot(*diff)  # no underflow of tiny differences
             best = max(best, size / dist[x][y])
     return best
 

@@ -149,8 +149,8 @@ def loop_poincare(G, u, rho, lam, r, radii=None, exhaustive_radii=False):
         radii = [r, r / 2, r / 4, r / 8]
     radii = [float(x) for x in radii]
     rmax = r * (1 + 1e-12) + 1e-300 if exhaustive_radii else max(radii)
-    table = np.array(list(graph_mod._distance_rows(
-        G, np.arange(G.n_vertices), limit=max(lam, 2.0) * rmax))).reshape(G.n_vertices, -1)
+    table = np.concatenate([rows for _, rows in graph_mod._distance_blocks(
+        G, np.arange(G.n_vertices), limit=max(lam, 2.0) * rmax)])
     best, witness, rows, skipped = 0.0, None, [], 0
     for ci, full in enumerate(table):
         near = np.flatnonzero(np.isfinite(full))
@@ -955,7 +955,8 @@ class TestLipschitzOracle:
                    if metric == "graph" or e.mu_edge > 0))
         values = st.one_of(st.sampled_from([0.0, 1e300, -1e300]), st.floats(-1e3, 1e3))
         u = {k: data.draw(values) for k in keys}
-        f = VectorField({k: (data.draw(values), data.draw(values)) for k in keys})
+        norm = data.draw(st.sampled_from(["max", "euclidean"]))
+        f = VectorField({k: (data.draw(values), data.draw(values)) for k in keys}, norm)
         with chunked(entries):
             assert lipschitz_constant(G, u, metric) == dense_slope(G, u, np.abs, metric)
             assert vector_lipschitz_constant(G, f, metric) == dense_slope(
