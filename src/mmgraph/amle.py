@@ -18,9 +18,10 @@ vertices are greedily colored so neighbors never share a color, and each
 sweep updates one color class at a time against the newest values.
 Simultaneous (Jacobi) updates are avoided on purpose; they can lock into
 exact period-two cycles on weighted graphs.  Sequential exact solves are
-monotone in the neighbor values, so iterates started from the constant
-min and max fills bracket every other start and converge monotonically
-to the unique solution.
+monotone in the neighbor values, so plain sweeps started from the
+constant min and max fills bracket every other start and converge
+monotonically to the unique solution.  Plain sweeps are the tests'
+oracle; the solver over-relaxes them first (see below).
 
 A pair's coefficients depend only on its two lengths, and its value is
 non-decreasing in u_i and in u_j, since rounding is monotone and the
@@ -46,10 +47,20 @@ witnesses; after a sweep, the witnesses' imbalance is computed by the
 same float arithmetic, row for row, as in the full residual, so while
 one of them is above ``tol`` the full residual is too and need not run.
 It runs, and renews the witnesses, once none is above ``tol`` or
-``max_iter`` is reached; the iterates, the sweep count and the reported
-residual are those of testing after every sweep.  A row's imbalance is
-max(s) + min(s) of its slopes s; a row whose slopes overflow is summed
-at a power-of-two scale, so it reads inf only when its imbalance does.
+``max_iter`` is reached; under plain sweeps the iterates, the sweep
+count and the reported residual are those of testing after every sweep.
+A row's imbalance is max(s) + min(s) of its slopes s; a row whose slopes
+overflow is summed at a power-of-two scale, so it reads inf only when
+its imbalance does.
+
+The sweeps start over-relaxed: each vertex moves past its balance point
+to u + ``_OMEGA`` (t* - u), clamped to [min g, max g], where the maximum
+principle puts the solution.  Relaxed iterates are not monotone in the
+neighbor values, so the min/max bracket above holds for plain sweeps
+only.  The solver drops to plain sweeps for good once the full residual
+reaches ``tol``, or finds no new low within ``_WINDOW`` sweeps (a stall;
+meanwhile it runs at least every quarter window).  So the default solve
+ends on plain sweeps and stops on the same certified test.
 
 Under ``metric_choice = "essential"`` only
 positive-measure edges participate; interior vertices with no
@@ -118,6 +129,13 @@ class AMLESolution:
 #: place of the full residual, while one of them stays above ``tol``.
 _WITNESSES = 32
 
+#: Over-relaxation factor of ``solve_amle``'s sweeps until it drops to 1.
+_OMEGA = 1.5
+
+#: Sweeps within which the full residual must reach a new low while
+#: ``_OMEGA`` is on; it runs at least every quarter window then.
+_WINDOW = 256
+
 
 def _row_edges(starts: np.ndarray, ends: np.ndarray, rows: np.ndarray):
     """Flat edge positions of the given rows (at least one), and where each
@@ -178,8 +196,8 @@ class _Sweep:
     repeating its last member, a row with fewer than g groups by
     repeating its last group and its length.
 
-    ``relax`` is bit-identical to solving every vertex on its own over
-    all its (d, d) neighbor pairs.  The pair value
+    A plain ``relax`` is bit-identical to solving every vertex on its own
+    over all its (d, d) neighbor pairs.  The pair value
     ``cj * u_i + ci * u_j`` depends on i and j only through u_i, u_j and
     their groups, and it is non-decreasing in u_i and in u_j, since the
     coefficients are nonnegative and rounding is monotone.  So over the
@@ -280,12 +298,24 @@ class _Sweep:
             return False
         return not np.all(np.abs(_imbalance(u, *self.screen)) <= tol)
 
-    def relax(self, u: np.ndarray) -> None:
+    def relax(self, u: np.ndarray, *over: float) -> None:
+        """One sweep.  Plain, each vertex takes its exact balance point t*;
+        with ``over = (omega, lo, hi)`` it takes u + omega (t* - u) clamped
+        to [lo, hi]."""
         for verts, nb, ci, cj in self.buckets:
             U = u[nb]
             t = cj * U.max(axis=0)
             t += ci * U.min(axis=0)[:, None]
-            u[verts] = t.min(axis=0).max(axis=0)
+            t = t.min(axis=0).max(axis=0)
+            if over:
+                omega, lo, hi = over
+                old = u[verts]
+                t -= old
+                t *= omega
+                t += old
+                np.minimum(t, hi, out=t)
+                np.maximum(t, lo, out=t)
+            u[verts] = t
 
 
 def solve_amle(
@@ -299,9 +329,15 @@ def solve_amle(
     Each iteration sweeps the interior once, replacing every vertex value
     by the exact balance point of its neighbors, one color class at a
     time so no two adjacent vertices ever update against stale values.
-    Stops when the largest local slope imbalance is at most ``tol``; on
-    hitting ``max_iter`` first, returns the best iterate with
-    ``converged = False``.  ``init`` selects the starting interior fill:
+    The first sweeps over-relax that step.  Relaxed iterates are not
+    monotone, so the exact min/max bracket (module docstring) holds for
+    plain sweeps only: the solutions from the ``min`` and ``max`` fills
+    agree at convergence, and ``comparison_check`` orders them up to its
+    ``tol``.  Once the residual reaches ``tol`` or stalls the sweeps are
+    plain, so a solve that converges ends on plain sweeps.  Stops when the
+    largest local slope imbalance is at most ``tol``; on hitting
+    ``max_iter`` first, returns the last iterate with ``converged =
+    False``.  ``init`` selects the starting interior fill:
     the range-clamped McShane extension (default), the constant min or
     max of the boundary data, or an explicit field.
     """
@@ -346,13 +382,24 @@ def solve_amle(
     residual, iterations = 0.0, 0
     if active_idx.size:  # else there is nothing to sweep
         sweep = _Sweep(G._csr(metric), active_idx)
+        # over-relaxed sweeps while ``over``, unless a step could overflow;
+        # a relaxed step never leaves [gmin, gmax]
+        relaxed = _OMEGA != 1 and math.isfinite(_OMEGA * (gmax - gmin))
+        over = (_OMEGA, gmin, gmax) if relaxed else ()
+        # the lowest full residual and its sweep; the sweep of the last one
+        best, low, last = math.inf, 0, 0
         while True:
+            due = bool(over) and iterations - last >= _WINDOW // 4
             # a witness above tol certifies that the residual is above tol
-            if iterations >= max_iter or not sweep.witnessed(u, tol):
-                residual = sweep.residual(u, tol)
-                if residual <= tol or iterations >= max_iter:
+            if due or iterations >= max_iter or not sweep.witnessed(u, tol):
+                residual, last = sweep.residual(u, tol), iterations
+                if iterations >= max_iter or residual <= tol and not over:
                     break
-            sweep.relax(u)
+                if residual < best:
+                    best, low = residual, iterations
+                if residual <= tol or iterations - low >= _WINDOW:
+                    over = ()  # plain sweeps for good: they make the stop
+            sweep.relax(u, *over)
             iterations += 1
 
     return AMLESolution(

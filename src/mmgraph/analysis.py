@@ -63,7 +63,8 @@ class QuasiconvexityReport:
     ``worst_pair`` realizes it.  When ``exhaustive`` is false the scan was
     a seeded random sample and ``C`` is only a lower bound.  ``rows``
     holds the worst pair per scanned source vertex; the full pair set is
-    quadratic and is not retained.
+    quadratic and is not retained.  ``metric_choice`` is the one given, but
+    an edge predicate is kept as the bool edge mask it selects.
     """
 
     C: float
@@ -71,7 +72,7 @@ class QuasiconvexityReport:
     worst_pair: tuple[int, int] | None
     samples: int
     exhaustive: bool
-    metric_choice: str
+    metric_choice: str | np.ndarray | None
     seed: int | None = None
     rows: tuple[QCRow, ...] = ()
 
@@ -298,7 +299,7 @@ def quasiconvexity_constant(
                 best, worst = row.ratio, (row.source, row.target)
     return QuasiconvexityReport(
         C=best, R=float(R), worst_pair=worst, samples=samples,
-        exhaustive=exhaustive, metric_choice=metric_choice,
+        exhaustive=exhaustive, metric_choice=metric if callable(metric_choice) else metric_choice,
         seed=None if exhaustive else seed, rows=tuple(rows),
     )
 

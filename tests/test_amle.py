@@ -323,7 +323,8 @@ class TestInfinityHarmonicExtend:
 # evaluates every (i, j) pair of a row, so it is also the oracle for the
 # length groups that ``amle._Sweep`` reduces the pairs to.
 # ``solve_amle`` run with it patched in must give the same ``u``,
-# ``residual``, ``iterations`` and degenerate vertices, compared with ``==``.
+# ``residual``, ``iterations`` and degenerate vertices, compared with ``==``,
+# under plain sweeps (``plain_sweeps``).
 # It keeps no witnesses (``witnessed`` is always False), so the solver runs
 # its full residual after every sweep; the arithmetic is the old one.
 
@@ -385,6 +386,15 @@ class ReduceatSweep:
         for verts, pair_i, pair_j, coef_i, coef_j, inner, outer in self.classes:
             t = coef_j * u[pair_i] + coef_i * u[pair_j]
             u[verts] = np.maximum.reduceat(np.minimum.reduceat(t, inner), outer)
+
+
+@pytest.fixture(scope="class")
+def plain_sweeps():
+    """Plain Gauss-Seidel sweeps (``amle._OMEGA = 1``), the scheme that the
+    oracles below reproduce bit for bit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(amle, "_OMEGA", 1.0)
+        yield
 
 
 def _same(a, b):
@@ -467,10 +477,20 @@ def amle_problems(draw, max_n=14, values=VALUES, lengths=st.just(LENGTHS)):
     return AMLEProblem(G, tuple(boundary), g, draw(st.sampled_from(["graph", "essential"])))
 
 
-def walled_grid(h):
-    """Unit-square grid whose edges across x = 0.45 have measure zero,
-    except in a gap at 0.3 <= y <= 0.5."""
+def square_boundary(h):
+    """The unit-square grid, and the data sin 3.5x + y^2 + 0.5xy on the
+    square's boundary vertices."""
     G = gen_grid(h, rect=(0, 0, 1, 1))
+    side = (np.min(G.pos, axis=1) < 1e-9) | (np.max(G.pos, axis=1) > 1 - 1e-9)
+    x, y = G.pos[:, 0], G.pos[:, 1]
+    data = np.sin(3.5 * x) + y ** 2 + 0.5 * x * y
+    return G, {int(v): float(d) for v, d, s in zip(G.vertex_ids, data, side) if s}
+
+
+def walled_grid(h):
+    """``square_boundary``'s grid and data, with the edges across x = 0.45
+    of measure zero, except in a gap at 0.3 <= y <= 0.5."""
+    G, g = square_boundary(h)
     ids = G.vertex_ids
     pos = {int(v): p for v, p in zip(ids, G.pos)}
     a, b, length, mu = [], [], [], []
@@ -485,13 +505,10 @@ def walled_grid(h):
     W = MetricMeasureGraph.from_arrays(
         ids, G.mu, G.pos, np.asarray(a), np.asarray(b), np.asarray(length), np.asarray(mu)
     )
-    side = (np.min(G.pos, axis=1) < 1e-9) | (np.max(G.pos, axis=1) > 1 - 1e-9)
-    x, y = G.pos[:, 0], G.pos[:, 1]
-    data = np.sin(3.5 * x) + y ** 2 + 0.5 * x * y
-    g = {int(v): float(d) for v, d, s in zip(ids, data, side) if s}
     return W, g
 
 
+@pytest.mark.usefixtures("plain_sweeps")
 class TestReduceatOracle:
     @ORACLE
     @given(amle_problems(), st.sampled_from(["mcshane", "min", "max"]))
@@ -588,7 +605,8 @@ class TestReduceatOracle:
 # ``solve_unscreened`` is the stopping loop the witness screen replaced: the
 # full residual after every sweep.  Starting from the field ``solve_amle``
 # fills in before its first sweep, it must give the same ``u`` bits,
-# ``residual``, ``iterations``, ``converged`` and degenerate vertices.
+# ``residual``, ``iterations``, ``converged`` and degenerate vertices under
+# plain sweeps.
 
 
 def solve_unscreened(problem, tol, max_iter, init="mcshane"):
@@ -633,6 +651,7 @@ def assert_same_bits(got, want):
     assert got.degenerate_vertices == want.degenerate_vertices
 
 
+@pytest.mark.usefixtures("plain_sweeps")
 class TestScreenOracle:
     @ORACLE
     @given(
@@ -667,14 +686,7 @@ class TestScreenOracle:
 
     def test_full_residual_runs_rarely(self, monkeypatch):
         G, g = walled_grid(1 / 32)
-        calls = []
-        full = amle._Sweep.residual
-
-        def counting(self, u, tol):
-            calls.append(1)
-            return full(self, u, tol)
-
-        monkeypatch.setattr(amle._Sweep, "residual", counting)
+        calls = full_residual_runs(monkeypatch)
         for metric, init in (("graph", "mcshane"), ("essential", "min"), ("essential", "max")):
             calls.clear()
             sol = solve_amle(AMLEProblem(G, tuple(g), g, metric), tol=1e-8, init=init)
@@ -691,6 +703,92 @@ class TestScreenOracle:
                 sol = solve_amle(problem, init=init)
             assert sol.converged and sol.residual == 0.0 and sol.iterations <= 2
             assert sol.u[1] == 5e9
+
+
+def full_residual_runs(monkeypatch):
+    """A list that grows by one entry on every full residual ``solve_amle``
+    runs."""
+    calls = []
+    full = amle._Sweep.residual
+
+    def counting(self, u, tol):
+        calls.append(1)
+        return full(self, u, tol)
+
+    monkeypatch.setattr(amle._Sweep, "residual", counting)
+    return calls
+
+
+class TestRelaxedSweeps:
+    """``solve_amle``'s default: sweeps over-relaxed by ``amle._OMEGA`` until
+    the full residual reaches ``tol`` or stalls, then plain sweeps."""
+
+    @ORACLE
+    @given(
+        amle_problems(values=st.one_of(VALUES, st.sampled_from([1e300, -1e300]))),
+        st.sampled_from(["mcshane", "min", "max"]),
+    )
+    def test_converges_where_plain_sweeps_do(self, problem, init):
+        tol = 1e-12
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(amle, "_OMEGA", 1.0)
+            plain = solve_amle(problem, tol=tol, max_iter=500, init=init)
+        if not plain.converged:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_amle(problem, tol=tol, max_iter=10_000, init=init)
+        assert sol.converged and sol.residual <= tol
+        assert sol.degenerate_vertices == plain.degenerate_vertices
+        lo, hi = min(problem.g.values()), max(problem.g.values())
+        skip = set(problem.boundary) | set(sol.degenerate_vertices)
+        assert all(lo <= x <= hi for v, x in sol.u.items() if v not in skip)
+        # a degenerate component balances under any constant
+        u = {v: lo if v in sol.degenerate_vertices else x for v, x in sol.u.items()}
+        assert max(check_amle_local(u, problem).values(), default=0.0) <= tol
+
+    def test_a_stalling_omega_falls_back_to_plain_sweeps(self, monkeypatch):
+        # at a fixed omega of 1.9 the residual of the h=1/24 grid stalls near 1e-6
+        G, g = square_boundary(1 / 24)
+        problem = AMLEProblem(G, tuple(g), g)
+        monkeypatch.setattr(amle, "_OMEGA", 1.9)
+        for init in ("mcshane", "min", "max"):
+            with monkeypatch.context() as mp:
+                mp.setattr(amle, "_WINDOW", 10 ** 9)  # omega never drops
+                stuck = solve_amle(problem, tol=1e-10, max_iter=3000, init=init)
+            assert not stuck.converged
+            sol = solve_amle(problem, tol=1e-10, init=init)
+            assert sol.converged
+            assert max(check_amle_local(sol.u, problem).values()) <= 1e-10
+
+    def test_full_residual_runs_rarely(self, monkeypatch):
+        # at least once per quarter window while relaxed: the first, the one
+        # that reaches tol and the certified stop come on top
+        G, g = walled_grid(1 / 32)
+        calls = full_residual_runs(monkeypatch)
+        for metric, init in (("graph", "mcshane"), ("essential", "min"), ("essential", "max")):
+            calls.clear()
+            sol = solve_amle(AMLEProblem(G, tuple(g), g, metric), tol=1e-8, init=init)
+            assert sol.converged and sol.iterations < 300
+            assert len(calls) <= sol.iterations // (amle._WINDOW // 4) + 3
+
+    def test_sweep_counts(self, monkeypatch):
+        """Host-free cost of the h=1/32 square-boundary solve at tol 1e-8:
+        (sweeps, full residual runs) per init, relaxed and plain."""
+        assert (amle._OMEGA, amle._WINDOW) == (1.5, 256)
+        G, g = square_boundary(1 / 32)
+        problem = AMLEProblem(G, tuple(g), g)
+        calls = full_residual_runs(monkeypatch)
+        want = {
+            1.5: {"mcshane": (218, 6), "min": (239, 6), "max": (230, 6)},
+            1.0: {"mcshane": (665, 2), "min": (744, 3), "max": (708, 3)},
+        }
+        for omega, counts in want.items():
+            monkeypatch.setattr(amle, "_OMEGA", omega)
+            for init, cost in counts.items():
+                calls.clear()
+                sol = solve_amle(problem, tol=1e-8, init=init)
+                assert sol.converged and (sol.iterations, len(calls)) == cost
 
 
 def unbounded(x):

@@ -2,6 +2,7 @@
 Poincare constants, Hajlasz gradients."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -138,6 +139,15 @@ class TestQuasiconvexity:
         assert plain.C == pytest.approx(2.1 / math.sqrt(4.25), rel=1e-9)
         # essentially, 0-1 must detour over both legs: 4.2 vs Euclidean 1
         assert ess.C == pytest.approx(4.2, rel=1e-9)
+
+    def test_predicate_metric_choice_reports_its_mask(self):
+        G = gen_grid(0.5, (0, 0, 1, 1))
+        keep = [e.a + e.b != 4 for e in G.edges()]
+        by_predicate = quasiconvexity_constant(G, metric_choice=lambda e: e.a + e.b != 4)
+        by_mask = quasiconvexity_constant(G, metric_choice=np.asarray(keep))
+        body = json.loads(json.dumps(by_predicate.to_dict()))
+        assert body["metric_choice"] == keep
+        assert body == json.loads(json.dumps(by_mask.to_dict()))
 
     def test_callable_ambient(self):
         G = path_graph(4)
