@@ -60,7 +60,8 @@ neighbor values, so the min/max bracket above holds for plain sweeps
 only.  The solver drops to plain sweeps for good once the full residual
 reaches ``tol``, or finds no new low within ``_WINDOW`` sweeps (a stall;
 meanwhile it runs at least every quarter window).  So the default solve
-ends on plain sweeps and stops on the same certified test.
+ends on plain sweeps, or on a start that meets ``tol``, and stops on the
+same certified test.
 
 Under ``metric_choice = "essential"`` only
 positive-measure edges participate; interior vertices with no
@@ -393,7 +394,8 @@ def solve_amle(
             # a witness above tol certifies that the residual is above tol
             if due or iterations >= max_iter or not sweep.witnessed(u, tol):
                 residual, last = sweep.residual(u, tol), iterations
-                if iterations >= max_iter or residual <= tol and not over:
+                # a relaxed sweep's iterate gets plain sweeps to stop on
+                if iterations >= max_iter or residual <= tol and not (over and iterations):
                     break
                 if residual < best:
                     best, low = residual, iterations

@@ -761,6 +761,31 @@ class TestRelaxedSweeps:
             assert sol.converged
             assert max(check_amle_local(sol.u, problem).values()) <= 1e-10
 
+    def test_a_start_that_meets_tol_is_returned(self):
+        # a sweep rounds vertex 2 off the exact fill of 1e300, and the
+        # 1e-300 edge from vertex 1 to the data then reads an imbalance of 1e284
+        G = make_graph(
+            [(v, 1.0) for v in range(5)],
+            [(0, 1, 1e-300), (0, 3, 1e-300), (0, 4, 1e-300), (1, 2, 1.125), (0, 2, 65.0)],
+        )
+        problem = AMLEProblem(G, (0,), {0: 1e300})
+        for init in ("mcshane", "min", "max"):
+            sol = solve_amle(problem, tol=1e-12, max_iter=1000, init=init)
+            assert sol.converged and sol.iterations == 0
+
+    def test_data_spanning_past_the_float_range_sweeps_plainly(self):
+        # omega (max g - min g) overflows, so a relaxed step could too
+        G = make_graph([(v, 1.0) for v in range(4)], [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.0)])
+        problem = AMLEProblem(G, (0, 3), {0: 1.7e308, 3: -1.7e308})
+        for init in ("min", "max"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sol = solve_amle(problem, init=init)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(amle, "_OMEGA", 1.0)
+                assert_same_bits(sol, solve_amle(problem, init=init))
+            assert sol.converged
+
     def test_full_residual_runs_rarely(self, monkeypatch):
         # at least once per quarter window while relaxed: the first, the one
         # that reaches tol and the certified stop come on top
