@@ -63,12 +63,14 @@ meanwhile it runs at least every quarter window).  So the default solve
 ends on plain sweeps, or on a start that meets ``tol``, and stops on the
 same certified test.
 
-Under ``metric_choice = "essential"`` only
-positive-measure edges participate; interior vertices with no
-positive-measure route to the boundary are degenerate: the solver never
-invents values for them and lists them instead.  That is the regime
-where any boundary-respecting field is as infinity-harmonic as any
-other, and ``check_amle_local`` reports residual zero for all of them.
+Under ``metric_choice = "essential"`` only positive-measure edges
+participate; interior vertices with no positive-measure route to the
+boundary are degenerate: the solver never invents values for them and
+lists them instead.  That is the regime where any boundary-respecting
+field is as infinity-harmonic as any other, and ``check_amle_local``
+reports residual zero for all of them.  ``infinity_harmonic_extend``
+meets it when no positive-measure edge leaves Omega: its problem is then
+the whole complement, a ``solve_amle`` with nothing active.
 """
 
 from __future__ import annotations
@@ -94,18 +96,11 @@ class AMLEProblem:
     metric_choice: Metric = "graph"
 
     def __post_init__(self):
-        self.edge_mask()  # rejects an unknown metric spelling
+        self.graph._metric(self.metric_choice)  # rejects an unknown metric spelling
         bd, _ = _vertex_set(self.graph, self.boundary, "boundary")
         g = _values(self.g, bd, "boundary data")
         object.__setattr__(self, "boundary", tuple(bd))
         object.__setattr__(self, "g", dict(zip(bd, g.tolist())))
-
-    def edge_mask(self) -> np.ndarray | None:
-        """Edges of the problem's metric; ``None`` when all edges count."""
-        metric = self.graph._metric(self.metric_choice)
-        if isinstance(metric, str) and metric == "graph":
-            return None
-        return self.graph.edge_mask(metric)
 
 
 @dataclass(frozen=True)
@@ -319,6 +314,14 @@ class _Sweep:
             u[verts] = t
 
 
+def _split(problem: AMLEProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary's indices (it is sorted, as ``vertex_ids``) and the interior mask."""
+    bidx = np.searchsorted(problem.graph.vertex_ids, problem.boundary)
+    interior = np.ones(problem.graph.n_vertices, dtype=bool)
+    interior[bidx] = False
+    return bidx, interior
+
+
 def solve_amle(
     problem: AMLEProblem,
     tol: float = 1e-10,
@@ -346,31 +349,23 @@ def solve_amle(
         raise InputError("tol must be positive")
     G = problem.graph
     ids = G.vertex_ids
-    bset = set(problem.boundary)
     metric = G._metric(problem.metric_choice)
-
-    reach = np.isfinite(
-        G.distances_from(list(problem.boundary), mask=metric, min_only=True)
-    )
-    interior_idx = np.asarray(
-        [i for i in range(G.n_vertices) if int(ids[i]) not in bset], dtype=np.int64
-    )
-    active_idx = interior_idx[reach[interior_idx]] if interior_idx.size else interior_idx
-    degenerate = tuple(
-        int(ids[i]) for i in interior_idx if not reach[i]
-    )
+    bidx, interior = _split(problem)
+    reach = np.isfinite(G.distances_from(list(problem.boundary), mask=metric, min_only=True))
+    active_idx = np.flatnonzero(interior & reach)
 
     u = np.full(G.n_vertices, math.nan)
-    for v in problem.boundary:
-        u[G.index_of(v)] = problem.g[v]
-
+    u[bidx] = list(problem.g.values())
     gmin = min(problem.g.values())
     gmax = max(problem.g.values())
     if isinstance(init, str):
         if init == "mcshane":
-            tu = mcshane_extend(G, problem.boundary, problem.g, metric)
-            for i in active_idx:
-                u[i] = min(gmax, max(gmin, tu[int(ids[i])]))
+            # the extension lists every vertex in index order; clamped as
+            # min(gmax, max(gmin, t)), so a NaN goes to gmin
+            t = mcshane_extend(G, problem.boundary, problem.g, metric)
+            t = np.fromiter(t.values(), float, G.n_vertices)[active_idx]
+            t = np.where(t > gmin, t, gmin)
+            u[active_idx] = np.where(t < gmax, t, gmax)
         elif init == "min":
             u[active_idx] = gmin
         elif init == "max":
@@ -405,11 +400,11 @@ def solve_amle(
             iterations += 1
 
     return AMLESolution(
-        u={int(ids[i]): float(u[i]) for i in range(G.n_vertices)},
+        u=dict(zip(ids.tolist(), u.tolist())),
         residual=residual,
         iterations=iterations,
         converged=residual <= tol,
-        degenerate_vertices=degenerate,
+        degenerate_vertices=tuple(ids[interior & ~reach].tolist()),
         tol=float(tol),
         problem=problem,
     )
@@ -431,8 +426,7 @@ def check_amle_local(u: Mapping[int, float], problem: AMLEProblem) -> dict[int, 
     for v, x in zip(problem.boundary, _values(u, problem.boundary, "u").tolist()):
         if x != problem.g[v]:
             raise InputError(f"u differs from boundary data at vertex {v}")
-    bset = set(problem.boundary)
-    rows = np.asarray([i for i, v in enumerate(ids.tolist()) if v not in bset], dtype=np.intp)
+    rows = np.flatnonzero(_split(problem)[1])
     sub = G._csr(problem.metric_choice)[rows]
     owner, heads = np.repeat(rows, np.diff(sub.indptr)), sub.indices
     # the interior rows with edges and their neighbours, in id order
@@ -458,20 +452,18 @@ def comparison_check(
     p1, p2 = u1.problem, u2.problem
     if p1.graph is not p2.graph or p1.boundary != p2.boundary:
         raise InputError("comparison_check needs solutions of matching problems")
-    if not np.array_equal(p1.edge_mask(), p2.edge_mask()):
+    G = p1.graph
+    if not np.array_equal(G.edge_mask(p1.metric_choice), G.edge_mask(p2.metric_choice)):
         raise InputError("comparison_check needs a common metric choice")
     for v in p1.boundary:
         if p1.g[v] > p2.g[v]:
             raise InputError("comparison_check requires g1 <= g2 on the boundary")
     if tol is None:
         tol = max(u1.tol, u2.tol)
-    for vid, a in u1.u.items():
-        b = u2.u[vid]
-        if math.isnan(a) or math.isnan(b):
-            continue
-        if a > b + tol:
-            return False
-    return True
+    # a NaN on either side compares false
+    a = np.fromiter(u1.u.values(), float, len(u1.u))
+    b = np.fromiter(map(u2.u.__getitem__, u1.u), float, len(u1.u))
+    return not np.any(a > b + tol)
 
 
 def infinity_harmonic_extend(
@@ -483,47 +475,29 @@ def infinity_harmonic_extend(
 ) -> AMLESolution:
     """Infinity-harmonic extension of g across Omega via the essential metric.
 
-    The boundary is the set of complement vertices joined to Omega by a
+    The boundary is the ring of complement vertices joined to Omega by a
     positive-measure edge; the problem is solved on the induced subgraph
-    of Omega plus that boundary under the essential metric, and g is
-    copied outside Omega.  When no positive-measure edge leaves Omega the
-    whole of Omega is degenerate and reported as such, the regime where
-    extension data transfers with no uniqueness.
+    of Omega plus that ring under the essential metric, and g is copied
+    outside Omega.  When no positive-measure edge leaves Omega the problem
+    is the whole complement on ``G``: nothing is active, and the whole of
+    Omega is degenerate and reported as such, the regime where extension
+    data transfers with no uniqueness.
     """
     om, omega_idx = _vertex_set(G, omega, "Omega")
-    omset = set(om)
     ids = G.vertex_ids
-    comp = [v for v in ids.tolist() if v not in omset]
+    outside = np.ones(G.n_vertices, dtype=bool)
+    outside[omega_idx] = False
+    comp = ids[outside].tolist()
     if not comp:
         raise InputError("Omega covers the whole graph; nothing to extend from")
     g = dict(zip(comp, _values(g, comp, "g").tolist()))
-    boundary = {int(ids[i]) for i in G._csr("essential")[omega_idx].indices} - omset
-
-    base_u = dict(g)
-    if not boundary:
-        # no positive-measure edge leaves Omega: every Omega vertex is
-        # degenerate and the "extension" carries no information
-        for v in om:
-            base_u[v] = math.nan
-        dummy = AMLEProblem(graph=G, boundary=tuple(comp), g=g, metric_choice="essential")
-        return AMLESolution(
-            u=base_u,
-            residual=0.0,
-            iterations=0,
-            converged=True,
-            degenerate_vertices=tuple(om),
-            tol=float(tol),
-            problem=dummy,
-        )
-
-    H = G.subgraph_vertices(om + sorted(boundary))
-    sub = AMLEProblem(
-        graph=H,
-        boundary=tuple(sorted(boundary)),
-        g={v: g[v] for v in sorted(boundary)},
-        metric_choice="essential",
-    )
-    sol = solve_amle(sub, tol=tol, max_iter=max_iter, init="mcshane")
-    for v in om:
-        base_u[v] = sol.u[v]
-    return replace(sol, u=base_u)
+    near = np.zeros(G.n_vertices, dtype=bool)
+    near[G._csr("essential")[omega_idx].indices] = True
+    ring = ids[near & outside].tolist()
+    if ring:
+        H, boundary, init = G.subgraph_vertices(om + ring), ring, "mcshane"
+    else:  # the whole complement: nothing is active, and the start is never read
+        H, boundary, init = G, comp, "min"
+    sub = AMLEProblem(H, tuple(boundary), g, "essential")
+    sol = solve_amle(sub, tol=tol, max_iter=max_iter, init=init)
+    return replace(sol, u={**g, **{v: sol.u[v] for v in om}})

@@ -169,8 +169,8 @@ def mcshane_extend(
     Computes L = Lipschitz constant of u on Omega in the chosen metric,
     then Tu(x) = min over Omega of u(y) + L d(x, y).  The restriction to
     Omega equals u exactly; vertices at infinite distance from all of
-    Omega receive +inf, and so does a reachable vertex where L d(x, y)
-    overflows the float range.  Scalar targets only: the inf-convolution
+    Omega receive +inf, and so does a reachable vertex where Tu(x) is
+    past the float range.  Scalar targets only: the inf-convolution
     has no vector analog, which is what the Whitney route is for.
     """
     om, om_idx = _vertex_set(G, omega, "Omega")
@@ -189,19 +189,28 @@ def mcshane_extend(
     floor = floor[labels]
     if lip > 0:
         # one search from a virtual source n joined to each y in Omega by
-        # an edge of weight (u(y) - floor) / L; explicit zeros stay edges
+        # an edge of weight (u(y) - floor) / L; explicit zeros stay edges.
+        # Here and in Tu a term that overflows is redone at half scale, as
+        # 2 ((u(y)/2 - floor/2) / L): halving such large values is exact
+        lo = floor[om_idx]
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = (vals - lo) / lip
+            big = ~np.isfinite(w)
+            w[big] = 2 * ((vals[big] * 0.5 - lo[big] * 0.5) / lip)
         aug = csr_matrix(
             (
-                np.concatenate([csr.data, (vals - floor[om_idx]) / lip]),
+                np.concatenate([csr.data, w]),
                 np.concatenate([csr.indices, om_idx]),
                 np.append(csr.indptr, csr.nnz + om_idx.size),
             ),
             shape=(n + 1, n + 1),
         )
         d = dijkstra(aug, directed=True, indices=n)[:n]
-        # inf * 0 on Omega if L overflowed; L * d past the float range is inf
+        # inf * 0 on Omega if L overflowed
         with np.errstate(invalid="ignore", over="ignore"):
             tu = floor + lip * d
+            big = np.isinf(tu)
+            tu[big] = 2 * (floor[big] * 0.5 + lip * 0.5 * d[big])
     else:
         tu = floor
     tu[om_idx] = vals

@@ -841,7 +841,7 @@ def lipschitz_constant(
     if callable(metric):
         i, j = np.triu_indices(len(keys), k=1)
         d = [float(metric(keys[a], keys[b])) for a, b in zip(i, j)]
-        return _max_ratio(np.abs(vals[i] - vals[j]), np.asarray(d))
+        return _max_diff_ratio(np.abs, vals[i], vals[j], np.asarray(d))
     return _max_slope(G, idx, vals, np.abs, metric)
 
 
@@ -859,13 +859,24 @@ def _max_slope(G, idx, vals, size, metric) -> float:
         # whole components: a geodesic's difference is at most the sum of
         # its edges' differences, so the largest ratio is an edge slope
         inner = i >= 0
-        return _max_ratio(size(vals[i[inner]] - vals[j[inner]]), d[inner])
+        return _max_diff_ratio(size, vals[i[inner]], vals[j[inner]], d[inner])
     best = 0.0  # each pair from its smaller key's row, one kernel call at a time
     for chunk, rows in _distance_blocks(G, idx, metric):
         a = pos[chunk]
         r, j = np.nonzero(np.arange(idx.size) > a[:, None])
-        best = max(best, _max_ratio(size(vals[a[r]] - vals[j]), rows[r, idx[j]]))
+        best = max(best, _max_diff_ratio(size, vals[a[r]], vals[j], rows[r, idx[j]]))
     return best
+
+
+def _max_diff_ratio(size, a: np.ndarray, b: np.ndarray, d: np.ndarray) -> float:
+    """Largest ``size(a - b) / d`` over pairs, as ``_max_ratio``; a pair whose
+    size overflows is redone as 2 (size(a/2 - b/2) / d), exact for such values."""
+    with np.errstate(over="ignore"):
+        du = size(a - b)
+        big = np.isinf(du)
+        half = size(a[big] * 0.5 - b[big] * 0.5)
+    du[big] = 0.0
+    return max(_max_ratio(du, d), 2 * _max_ratio(half, d[big]))
 
 
 def _max_ratio(du: np.ndarray, d: np.ndarray) -> float:

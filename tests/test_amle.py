@@ -5,6 +5,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -188,6 +189,22 @@ class TestSolverProperties:
         with pytest.raises(InputError):
             comparison_check(s1, s_lower)
 
+    def test_comparison_compares_edge_sets(self):
+        # with no zero-measure edge the two metric choices are one metric
+        G = path_graph(5)
+        g = {0: 0.0, 4: 1.0}
+        graph = solve_amle(AMLEProblem(G, (0, 4), g, "graph"))
+        essential = solve_amle(AMLEProblem(G, (0, 4), g, "essential"))
+        assert comparison_check(graph, essential) and comparison_check(essential, graph)
+        mask = solve_amle(AMLEProblem(G, (0, 4), g, np.ones(G.n_edges, dtype=bool)))
+        assert comparison_check(graph, mask)
+        H = make_graph([(v, 1.0) for v in range(3)], [(0, 1, 1.0), (1, 2, 1.0, 0.0)])
+        h = {0: 0.0, 2: 1.0}
+        graph = solve_amle(AMLEProblem(H, (0, 2), h, "graph"))
+        essential = solve_amle(AMLEProblem(H, (0, 2), h, "essential"))
+        with pytest.raises(InputError):
+            comparison_check(graph, essential)
+
 
 class TestDegenerate:
     def test_unreachable_interior_is_nan(self):
@@ -302,7 +319,20 @@ class TestInfinityHarmonicExtend:
         sol = infinity_harmonic_extend(G, [1], {0: 3.0, 2: 4.0})
         assert sol.degenerate_vertices == (1,)
         assert np.isnan(sol.u[1])
-        assert sol.u[0] == 3.0
+        assert sol.u[0] == 3.0 and sol.u[2] == 4.0
+        assert list(sol.u) == [0, 2, 1]  # the complement, then Omega
+        assert sol.iterations == 0 and sol.residual == 0.0 and sol.converged
+        assert sol.tol == 1e-10
+        assert sol.problem.boundary == (0, 2) and sol.problem.graph is G
+        assert sol.problem.metric_choice == "essential"
+        with pytest.raises(InputError):
+            infinity_harmonic_extend(G, [1], {0: 3.0, 2: 4.0}, tol=0.0)
+
+    def test_no_interface_validates_tol(self):
+        # the edge leaving Omega = {0} has measure 0
+        G = make_graph([(v, 1.0) for v in range(3)], [(0, 1, 1.0, 0.0), (1, 2, 1.0)])
+        with pytest.raises(InputError):
+            infinity_harmonic_extend(G, [0], {1: 1.7e308, 2: -1.7e308}, tol=0.0)
 
     def test_omega_everything_rejected(self):
         G = path_graph(3)
@@ -506,6 +536,38 @@ def walled_grid(h):
         ids, G.mu, G.pos, np.asarray(a), np.asarray(b), np.asarray(length), np.asarray(mu)
     )
     return W, g
+
+
+class TestBoundarySplit:
+    """``solve_amle``'s boundary, active and degenerate vertices against
+    networkx reachability, on shuffled ids with zero-measure edges."""
+
+    @ORACLE
+    @given(amle_problems(max_n=20), st.sampled_from(["mcshane", "min", "max"]))
+    def test_matches_networkx_reachability(self, problem, init):
+        G = problem.graph
+        ids = G.vertex_ids.tolist()
+        H = nx.Graph()
+        H.add_nodes_from(ids)
+        H.add_edges_from(
+            (e.a, e.b) for e in G.edges() if problem.metric_choice == "graph" or e.mu_edge > 0
+        )
+        reached = set().union(*(nx.node_connected_component(H, v) for v in problem.boundary))
+        sol = solve_amle(problem, max_iter=0, init=init)
+        assert list(sol.u) == sorted(ids)
+        assert sol.degenerate_vertices == tuple(v for v in ids if v not in reached)
+        for v, x in problem.g.items():
+            assert repr(sol.u[v]) == repr(x)
+        active = [v for v in ids if v in reached and v not in problem.g]
+        assert all(math.isnan(sol.u[v]) for v in sol.degenerate_vertices)
+        assert not any(math.isnan(sol.u[v]) for v in active)
+        lo, hi = min(problem.g.values()), max(problem.g.values())
+        if init == "mcshane":  # the start, clamped as Python's min and max do it
+            t = mcshane_extend(G, problem.boundary, problem.g, problem.metric_choice)
+            for v in active:
+                assert repr(sol.u[v]) == repr(min(hi, max(lo, t[v])))
+        else:
+            assert all(sol.u[v] == (lo if init == "min" else hi) for v in active)
 
 
 @pytest.mark.usefixtures("plain_sweeps")
@@ -777,7 +839,7 @@ class TestRelaxedSweeps:
         # omega (max g - min g) overflows, so a relaxed step could too
         G = make_graph([(v, 1.0) for v in range(4)], [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.0)])
         problem = AMLEProblem(G, (0, 3), {0: 1.7e308, 3: -1.7e308})
-        for init in ("min", "max"):
+        for init in ("mcshane", "min", "max"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 sol = solve_amle(problem, init=init)

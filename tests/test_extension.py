@@ -114,6 +114,48 @@ class TestMcShane:
             mcshane_extend(G, [0, 0], {0: 1.0})
 
 
+def overflow_path():
+    """The path 0-1-2-3 of lengths 1, 1, 2, with data at its ends whose
+    difference, 3.4e308, is past the float range; the slope is 8.5e307."""
+    G = make_graph([(v, 1.0) for v in range(4)], [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.0)])
+    return G, {0: 1.7e308, 3: -1.7e308}
+
+
+class TestOverflowingDifferences:
+    """Slopes whose differences overflow are finite where the slope is."""
+
+    def test_scalar_slope(self):
+        G, u = overflow_path()
+        assert lipschitz_constant(G, u) == 8.5e307
+        assert lipschitz_constant(G, u, metric=lambda x, y: 4.0) == 8.5e307
+        # the keys are whole components: the edge-slope route
+        edge = make_graph([(0, 1.0), (1, 1.0)], [(0, 1, 4.0)])
+        assert lipschitz_constant(edge, {0: 1.7e308, 1: -1.7e308}) == 8.5e307
+
+    @pytest.mark.parametrize("norm", ["max", "euclidean"])
+    def test_vector_slope(self, norm):
+        G, u = overflow_path()
+        assert vector_lipschitz_constant(G, as_vector_field(u, norm)) == 8.5e307
+
+    def test_a_slope_past_the_float_range_is_inf(self):
+        G, _ = overflow_path()
+        u = {0: 1.7e308, 1: -1.7e308}
+        assert lipschitz_constant(G, u) == math.inf
+        assert lipschitz_constant(G, u, metric=lambda x, y: 1.0) == math.inf
+        assert vector_lipschitz_constant(G, as_vector_field(u)) == math.inf
+
+    def test_mcshane_extension(self):
+        G, u = overflow_path()
+        out = mcshane_extend(G, [0, 3], u)
+        assert out[0] == u[0] and out[3] == u[3]
+        assert out[1] == pytest.approx(8.5e307, rel=1e-15)
+        assert out[2] == 0.0
+        assert lipschitz_constant(G, out) == pytest.approx(8.5e307, rel=1e-15)
+        # a value past the float range still reads inf
+        out = mcshane_extend(G, [0, 1], {0: 1.7e308, 1: 1.6e308})
+        assert out[2] == 1.7e308 and out[3] == math.inf
+
+
 class TestTruncate:
     def test_clamps_overshoot(self):
         # data on two close vertices, a far vertex overshoots the sup-norm
