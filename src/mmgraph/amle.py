@@ -441,16 +441,23 @@ def check_amle_local(u: Mapping[int, float], problem: AMLEProblem) -> dict[int, 
     return dict(zip(ids[rows].tolist(), res.tolist()))
 
 
+def _same_graph(G: MetricMeasureGraph, H: MetricMeasureGraph) -> bool:
+    """True when ``G`` and ``H`` have equal vertex and edge arrays."""
+    return all(np.array_equal(getattr(G, k), getattr(H, k)) for k in (
+        "_ids", "_mu", "_pos", "_edge_ia", "_edge_ib", "_edge_len", "_edge_mu"))
+
+
 def comparison_check(
     u1: AMLESolution, u2: AMLESolution, tol: float | None = None
 ) -> bool:
     """True when u1 <= u2 + tol pointwise (degenerate vertices skipped).
 
-    The two solutions must come from the same graph, boundary, and metric
-    choice, with boundary data g1 <= g2; anything else is an input error.
+    The two solutions must come from equal graphs (the same vertices and
+    edges, if not one object), the same boundary and metric choice, with
+    boundary data g1 <= g2; anything else is an input error.
     """
     p1, p2 = u1.problem, u2.problem
-    if p1.graph is not p2.graph or p1.boundary != p2.boundary:
+    if not _same_graph(p1.graph, p2.graph) or p1.boundary != p2.boundary:
         raise InputError("comparison_check needs solutions of matching problems")
     G = p1.graph
     if not np.array_equal(G.edge_mask(p1.metric_choice), G.edge_mask(p2.metric_choice)):

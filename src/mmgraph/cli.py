@@ -25,6 +25,7 @@ from . import analysis, extension, spaces
 from .graph import (
     _distance_blocks,
     _read_back,
+    _vertex_set,
     component_count,
     lipschitz_constant,
     load_graph,
@@ -310,7 +311,7 @@ def cmd_amle(args) -> int:
                 "amle without --whole-boundary always uses the essential "
                 "metric; pass --whole-boundary to solve under the graph metric"
             )
-        known = set(data)
+        known = set(_vertex_set(G, data, "boundary")[0])
         omega = [int(v) for v in G.vertex_ids if int(v) not in known]
         sol = amle_mod.infinity_harmonic_extend(
             G, omega, dict(data), tol=args.tol, max_iter=args.max_iter

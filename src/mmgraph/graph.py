@@ -101,6 +101,35 @@ def _floats(values: list, what: str) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+def _spec_array(value, what: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """``value`` as a float64 or int64 array of ``shape``, where ``None``
+    stands for any length; an empty list reads as no rows.
+
+    ``InputError`` names ``what`` when ``value`` is ragged or of another
+    shape, or has an entry that is not a number (strings and booleans are
+    not, nor floats where ``dtype`` is int64), not finite, or past int64.
+    """
+    ints = dtype is np.int64
+    try:
+        leaves = [value]
+        for _ in shape:
+            leaves = [y for x in leaves for y in (x if type(x) in _VECTORS else (x,))]
+        types = set(map(type, leaves))
+        if all(map(_id_type, types)) if ints else _NOT_NUMBERS.isdisjoint(types):
+            arr = np.asarray(value, dtype=dtype)
+            if arr.shape == (0,) and shape:
+                arr = arr.reshape(0, *(k or 0 for k in shape[1:]))
+            if arr.ndim == len(shape) and all(k in (None, n) for k, n in zip(shape, arr.shape)):
+                if ints or np.isfinite(arr).all():
+                    return arr
+    except (TypeError, ValueError, OverflowError):
+        pass
+    desc = "integers" if ints else "finite numbers"
+    for k in reversed(shape):
+        desc = f"lists of {f'{k} ' if k else ''}{desc}"
+    raise InputError(f"{what} must be {'a list' + desc[5:] if shape else 'a single ' + desc[:-1]}")
+
+
 class MetricMeasureGraph:
     """Finite undirected graph with vertex measures and edge lengths.
 

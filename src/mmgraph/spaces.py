@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import MetricMeasureGraph
+from .graph import MetricMeasureGraph, _id_type, _spec_array
 from .util import InputError, SizeError
 
 _MAX_LATTICE = 30_000_000
@@ -81,13 +81,22 @@ def _lattice_graph(
 
 
 def _lattice_dims(x0, x1, y0, y1, h) -> tuple[int, int]:
-    nx = int(math.floor((x1 - x0) / h + 1e-9)) + 1
-    ny = int(math.floor((y1 - y0) / h + 1e-9)) + 1
-    if nx < 1 or ny < 1:
-        raise InputError("degenerate domain")
+    sx, sy = (x1 - x0) / h, (y1 - y0) / h
+    if not sx * sy < _MAX_LATTICE:  # also false for an infinite or NaN span
+        raise SizeError("lattice exceeds the supported size")
+    nx = int(math.floor(sx + 1e-9)) + 1
+    ny = int(math.floor(sy + 1e-9)) + 1
     if nx * ny > _MAX_LATTICE:
         raise SizeError(f"lattice of {nx}x{ny} points exceeds the supported size")
     return nx, ny
+
+
+def _step(h) -> float:
+    """The mesh step ``h``, which must be a positive number."""
+    h = _spec_array(h, "mesh step h", ()).item()
+    if not h > 0:
+        raise InputError("mesh step h must be positive and finite")
+    return h
 
 
 def gen_grid(
@@ -100,22 +109,21 @@ def gen_grid(
     Vertex measure is the cell area h^2; edges join lattice neighbors
     including diagonals and carry measure 1.
     """
-    if not (h > 0) or not np.isfinite(h):
-        raise InputError("mesh step h must be positive and finite")
+    h = _step(h)
     if (rect is None) == (disc is None):
         raise InputError("give exactly one of rect or disc")
     if rect is not None:
-        x0, y0, x1, y1 = map(float, rect)
+        x0, y0, x1, y1 = _spec_array(rect, "rect", (4,)).tolist()
         if not (x1 > x0 and y1 > y0):
             raise InputError("rect must have positive extent")
         nx, ny = _lattice_dims(x0, x1, y0, y1, h)
         keep = np.ones((nx, ny), dtype=bool)
     else:
-        cx, cy, r = map(float, disc)
+        cx, cy, r = _spec_array(disc, "disc", (3,)).tolist()
         if not (r > 0):
             raise InputError("disc radius must be positive")
-        x0 = cx - math.ceil(r / h) * h
-        y0 = cy - math.ceil(r / h) * h
+        k = float(np.ceil(r / h))  # math.ceil raises on an infinite r / h
+        x0, y0 = cx - k * h, cy - k * h
         nx, ny = _lattice_dims(x0, cx + r, y0, cy + r, h)
         xs = x0 + np.arange(nx) * h
         ys = y0 + np.arange(ny) * h
@@ -150,11 +158,10 @@ def _psi_callable(psi) -> Callable[[np.ndarray], np.ndarray]:
                 out = np.asarray([psi(float(x)) for x in t.ravel()]).reshape(t.shape)
             return out
         return wrapped
-    samples = sorted((float(t), float(v)) for t, v in psi)
-    if not samples:
+    samples = _spec_array(psi, "psi samples", (None, 2))
+    if not len(samples):
         raise InputError("psi samples must be nonempty")
-    ts = np.asarray([t for t, _ in samples])
-    vs = np.asarray([v for _, v in samples])
+    ts, vs = samples[np.lexsort(samples.T[::-1])].T
     if np.any(ts <= 0) or ts[-1] > 1.0 + 1e-12:
         raise InputError("psi samples must lie in (0, 1]")
     if np.any(np.diff(ts) <= 0):
@@ -178,13 +185,12 @@ def gen_cusp(psi, h: float) -> MetricMeasureGraph:
     exact cell-domain overlap, which keeps the measure faithful even
     where the cusp is far thinner than the mesh step.
     """
-    if not (h > 0) or not np.isfinite(h):
-        raise InputError("mesh step h must be positive and finite")
+    h = _step(h)
     f = _psi_callable(psi)
     r = math.sqrt(_CUSP_RADIUS_SQ)
     cx, cy = _CUSP_CENTER
     x0 = 0.0
-    y0 = -math.ceil((cy + r) / h) * h
+    y0 = -float(np.ceil((cy + r) / h)) * h
     nx, ny = _lattice_dims(x0, cx + r, y0, cy + r, h)
     xs = x0 + np.arange(nx) * h
     ys = y0 + np.arange(ny) * h
@@ -234,10 +240,7 @@ def gen_cusp(psi, h: float) -> MetricMeasureGraph:
 # -- collapsing quotients ----------------------------------------------------
 
 
-def _polyline_distances(px: np.ndarray, py: np.ndarray, E: Sequence) -> np.ndarray:
-    pts = np.asarray(E, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-        raise InputError("E must be a nonempty list of 2D points")
+def _polyline_distances(px: np.ndarray, py: np.ndarray, pts: np.ndarray) -> np.ndarray:
     d2 = np.full(px.shape, np.inf)
     if pts.shape[0] == 1:
         return np.sqrt((px - pts[0, 0]) ** 2 + (py - pts[0, 1]) ** 2)
@@ -317,34 +320,25 @@ def gen_multi_collapse(
     E_list: Sequence[Sequence], box: Sequence[float], h: float
 ) -> MetricMeasureGraph:
     """Like :func:`gen_collapsed` for several pairwise-disjoint continua."""
-    if not (h > 0) or not np.isfinite(h):
-        raise InputError("mesh step h must be positive and finite")
-    if not E_list:
-        raise InputError("need at least one continuum")
-    x0, y0, x1, y1 = map(float, box)
+    h = _step(h)
+    if not isinstance(E_list, (list, tuple)) or not E_list:
+        raise InputError("e_list must be a nonempty list of continua")
+    x0, y0, x1, y1 = _spec_array(box, "box", (4,)).tolist()
     if not (x1 > x0 and y1 > y0):
         raise InputError("box must have positive extent")
     nx, ny = _lattice_dims(x0, x1, y0, y1, h)
     xs = x0 + np.arange(nx) * h
     ys = y0 + np.arange(ny) * h
-    px = np.repeat(xs, ny).reshape(nx, ny)
-    py = np.tile(ys, nx).reshape(nx, ny)
+    px, py = np.meshgrid(xs, ys, indexing="ij")
 
     labels = np.full((nx, ny), -1, dtype=np.int64)
     centroids: list[tuple[float, float]] = []
     for c, E in enumerate(E_list):
-        try:
-            pts = np.asarray(E, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad continuum points: {exc}") from exc
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-            raise InputError("each continuum must be a nonempty list of 2D points")
-        if np.any(pts[:, 0] < x0) or np.any(pts[:, 0] > x1) or np.any(
-            pts[:, 1] < y0
-        ) or np.any(pts[:, 1] > y1):
+        # an empty continuum captures no lattice points
+        pts = _spec_array(E, f"continuum {c}", (None, 2))
+        if np.any(pts < (x0, y0)) or np.any(pts > (x1, y1)):
             raise InputError("continuum extends outside the box")
-        dist = _polyline_distances(px, py, E)
-        inside = dist <= h + 1e-12
+        inside = _polyline_distances(px, py, pts) <= h + 1e-12
         if not np.any(inside):
             raise InputError("continuum captures no lattice points at this h")
         if np.any(labels[inside] >= 0):
@@ -360,38 +354,64 @@ def gen_multi_collapse(
 def gen_simplicial(spec: Mapping) -> MetricMeasureGraph:
     """Mesh a complex of 1- and 2-simplices with Hausdorff-share measures.
 
-    ``spec`` holds ``points`` (coordinate list), ``segments`` and
-    ``triangles`` (index tuples), optional ``atoms`` (point index ->
-    added mass), and the mesh step ``h``.  Segments subdivide into chains
+    ``spec`` holds ``points`` (a list of coordinate lists), ``segments``
+    and ``triangles`` (lists of point index lists), optional ``atoms``
+    (a list of ``[i, m]`` pairs, or a mapping from int ``i`` to ``m``, each
+    adding mass ``m`` at point ``i``), and the mesh step ``h``.
+    Coordinates, masses and ``h`` are numbers and indices are ints;
+    strings and booleans are refused.  Segments subdivide into chains
     whose vertex measures split the length; triangles triangulate
     regularly, each small triangle crediting a third of its area to its
     corners.  Mesh vertices merge by exact position, so simplices glue
     where their boundaries coincide (triangles sharing a full side need
-    equal subdivision counts, which equal side lengths give).  A vertex
-    atom adds point mass at a designated original point.
+    equal subdivision counts, which equal side lengths give).  A complex
+    of more than 30,000,000 mesh points, counted before merging, is a
+    ``SizeError``.
     """
-    try:
-        pts = [tuple(float(c) for c in p) for p in spec["points"]]
-        h = float(spec["h"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad simplicial spec: {exc}") from exc
-    if not (h > 0):
-        raise InputError("mesh step h must be positive")
-    if not pts:
+    h = _step(spec.get("h"))
+    pts = _spec_array(spec.get("points"), "points", (None, None))
+    if not len(pts):
         raise InputError("points must be nonempty")
-    dim = len(pts[0])
-    if any(len(p) != dim for p in pts):
-        raise InputError("points must share one dimension")
-    segments = [tuple(int(i) for i in s) for s in spec.get("segments", [])]
-    triangles = [tuple(int(i) for i in t) for t in spec.get("triangles", [])]
-    for s in segments:
-        if len(s) != 2 or any(not 0 <= i < len(pts) for i in s) or s[0] == s[1]:
-            raise InputError(f"bad segment {s}")
-    for t in triangles:
-        if len(t) != 3 or any(not 0 <= i < len(pts) for i in t) or len(set(t)) != 3:
-            raise InputError(f"bad triangle {t}")
+    atoms = spec.get("atoms", [])
+    atoms = list(atoms.items()) if isinstance(atoms, Mapping) else atoms
+    masses = _spec_array(atoms, "atoms", (None, 2))[:, 1].tolist()
+    if not all(m > 0 for m in masses):
+        raise InputError("atom mass must be positive")
+    simplices = {
+        "segment": _spec_array(spec.get("segments", []), "segments", (None, 2), np.int64),
+        "triangle": _spec_array(spec.get("triangles", []), "triangles", (None, 3), np.int64),
+        "atom": _spec_array([i for i, _ in atoms], "atom points", (None,), np.int64)[:, None],
+    }
+    for name, S in simplices.items():
+        T = np.sort(S, axis=1)
+        bad = (T[:, 0] < 0) | (T[:, -1] >= len(pts)) | np.any(T[:, 1:] == T[:, :-1], axis=1)
+        if bad.any():
+            raise InputError(f"bad {name} {tuple(S[bad.argmax()].tolist())}")
+    segments, triangles, atom_at = (S.tolist() for S in simplices.values())
     if not segments and not triangles:
         raise InputError("complex has no simplices")
+    dim = pts.shape[1]
+    if triangles and dim not in (2, 3):
+        raise InputError("triangles need 2D or 3D points")
+
+    # every simplex's length and subdivision count, before any point is built;
+    # points too far apart for a float give an infinite length, refused below
+    with np.errstate(over="ignore"):
+        seg_len = [np.linalg.norm(pts[b] - pts[a]) for a, b in segments]
+        sides = [[np.linalg.norm(pts[j] - pts[i]) for i, j in ((a, b), (b, c), (c, a))]
+                 for a, b, c in triangles]
+        steps = np.asarray(seg_len + [max(s) for s in sides]) / h
+    if min(seg_len, default=1.0) <= 0:
+        raise InputError("zero-length segment")
+    if min(map(min, sides), default=1.0) <= 0:
+        raise InputError("degenerate triangle")
+    if not np.isfinite(steps).all():
+        raise SizeError("a simplex spans more mesh steps than a float holds")
+    subdiv = [max(1, round(x)) for x in steps.tolist()]
+    size = sum(n + 1 for n in subdiv[:len(seg_len)])
+    size += sum((n + 1) * (n + 2) // 2 for n in subdiv[len(seg_len):])
+    if size > _MAX_LATTICE:
+        raise SizeError(f"complex of over {_MAX_LATTICE} mesh points exceeds the supported size")
 
     key_of = {}
     positions: list[tuple[float, ...]] = []
@@ -415,25 +435,16 @@ def gen_simplicial(spec: Mapping) -> MetricMeasureGraph:
         key = (min(a, b), max(a, b))
         edge_len.setdefault(key, length)
 
-    for a_i, b_i in segments:
-        A = np.asarray(pts[a_i])
-        B = np.asarray(pts[b_i])
-        L = float(np.linalg.norm(B - A))
-        if L <= 0:
-            raise InputError("zero-length segment")
-        n = max(1, round(L / h))
+    for (a_i, b_i), L, n in zip(segments, np.asarray(seg_len).tolist(), subdiv):
+        A, B = pts[a_i], pts[b_i]
         chain = [vertex_at(A + (B - A) * (i / n)) for i in range(n + 1)]
         for i in range(n):
             add_edge(chain[i], chain[i + 1], L / n)
             measures[chain[i]] += L / (2 * n)
             measures[chain[i + 1]] += L / (2 * n)
 
-    for a_i, b_i, c_i in triangles:
-        A, B, C = (np.asarray(pts[i]) for i in (a_i, b_i, c_i))
-        sides = [np.linalg.norm(B - A), np.linalg.norm(C - B), np.linalg.norm(A - C)]
-        if min(sides) <= 0:
-            raise InputError("degenerate triangle")
-        n = max(1, round(float(max(sides)) / h))
+    for (a_i, b_i, c_i), n in zip(triangles, subdiv[len(seg_len):]):
+        A, B, C = pts[a_i], pts[b_i], pts[c_i]
         u, v = B - A, C - A
         if dim == 2:
             area = abs(float(u[0] * v[1] - u[1] * v[0])) / 2.0
@@ -462,14 +473,8 @@ def gen_simplicial(spec: Mapping) -> MetricMeasureGraph:
                     pb = np.asarray(positions[other])
                     add_edge(vid, other, float(np.linalg.norm(pb - pa)))
 
-    atoms = spec.get("atoms", {})
-    for key, mass in (atoms.items() if isinstance(atoms, Mapping) else atoms):
-        idx = int(key)
-        if not 0 <= idx < len(pts):
-            raise InputError(f"atom references unknown point {idx}")
-        if not (float(mass) > 0):
-            raise InputError("atom mass must be positive")
-        measures[vertex_at(np.asarray(pts[idx]))] += float(mass)
+    for (i,), m in zip(atom_at, masses):
+        measures[vertex_at(pts[i])] += m
 
     keys = sorted(edge_len)
     return MetricMeasureGraph.from_arrays(
@@ -499,7 +504,7 @@ def gen_carpet(
     measure, so the essential metric disconnects), or a predicate on
     edge dicts marks a custom subset negligible.
     """
-    if not _is_int(level) or level < 1:
+    if not _id_type(type(level)) or level < 1:
         raise InputError("carpet level must be a positive integer")
     if level > 6:
         raise SizeError("carpet level above 6 exceeds the supported size")
@@ -545,7 +550,7 @@ def gen_carpet(
 
 @dataclass(frozen=True)
 class MeshSpec:
-    """Declarative mesh request: kind, step, domain data, negligible mode."""
+    """Mesh request as given: kind, step, domain data, negligible mode."""
 
     kind: str
     h: float | None
@@ -556,13 +561,10 @@ class MeshSpec:
     def from_dict(cls, d: Mapping) -> "MeshSpec":
         if "kind" not in d:
             raise InputError("mesh spec needs a 'kind'")
-        h = d.get("h")
-        if h is not None and not _is_real(h):
-            raise InputError(f"mesh step h must be a number, got {h!r}")
         params = {k: v for k, v in d.items() if k not in ("kind", "h", "negligible_mode")}
         return cls(
             kind=str(d["kind"]),
-            h=None if h is None else float(h),
+            h=d.get("h"),
             params=params,
             negligible_mode=str(d.get("negligible_mode", "none")),
         )
@@ -571,55 +573,23 @@ class MeshSpec:
         k = self.kind
         p = self.params
         if k == "grid":
-            rect, disc = p.get("rect"), p.get("disc")
-            return gen_grid(
-                self._h(),
-                rect=None if rect is None else self._numbers("rect", 4),
-                disc=None if disc is None else self._numbers("disc", 3),
-            )
+            return gen_grid(self.h, rect=p.get("rect"), disc=p.get("disc"))
         if k == "cusp":
             psi = p.get("psi", p.get("psi_samples"))
             if psi is None:
                 raise InputError("cusp spec needs 'psi' or 'psi_samples'")
-            return gen_cusp(psi, self._h())
+            return gen_cusp(psi, self.h)
         if k == "collapsed":
-            return gen_collapsed(self._need("e"), self._numbers("box", 4), self._h())
+            return gen_collapsed(self._need("e"), self._need("box"), self.h)
         if k == "multi_collapse":
-            return gen_multi_collapse(
-                self._need("e_list"), self._numbers("box", 4), self._h()
-            )
+            return gen_multi_collapse(self._need("e_list"), self._need("box"), self.h)
         if k == "simplicial":
-            spec = dict(p)
-            spec["h"] = self._h()
-            return gen_simplicial(spec)
+            return gen_simplicial(dict(p, h=self.h))
         if k == "carpet":
             return gen_carpet(self._need("level"), self.negligible_mode)
         raise InputError(f"unknown mesh kind {self.kind!r}")
-
-    def _h(self) -> float:
-        if self.h is None:
-            raise InputError(f"mesh kind {self.kind!r} needs 'h'")
-        return self.h
 
     def _need(self, name: str):
         if name not in self.params:
             raise InputError(f"mesh kind {self.kind!r} needs {name!r}")
         return self.params[name]
-
-    def _numbers(self, name: str, count: int) -> list[float]:
-        val = self._need(name)
-        if (
-            not isinstance(val, (list, tuple, np.ndarray))
-            or len(val) != count
-            or not all(_is_real(x) for x in val)
-        ):
-            raise InputError(f"{name!r} must be a list of {count} numbers, got {val!r}")
-        return [float(x) for x in val]
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    return _is_int(x) or isinstance(x, (float, np.floating))

@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import networkx as nx
@@ -310,6 +311,20 @@ class TestInfinityHarmonicExtend:
         assert sol.converged
         # boundary values propagate linearly across the solved interior
         assert sol.u[2] == pytest.approx(0.5, abs=1e-8)
+
+    def test_comparison_of_two_extensions(self):
+        # each call solves on its own induced subgraph of G
+        G = path_graph(5)
+        low = infinity_harmonic_extend(G, [1, 2, 3], {0: 0.0, 4: 1.0})
+        high = infinity_harmonic_extend(G, [1, 2, 3], {0: 0.0, 4: 2.0})
+        assert low.problem.graph is not high.problem.graph
+        assert comparison_check(low, high)
+        assert not comparison_check(low, replace(high, u={**high.u, 2: 0.0}))
+        with pytest.raises(InputError, match="g1 <= g2"):
+            comparison_check(high, low)
+        narrow = infinity_harmonic_extend(G, [1, 2], {0: 0.0, 3: 1.0, 4: 2.0})
+        with pytest.raises(InputError, match="matching problems"):
+            comparison_check(narrow, high)
 
     def test_no_interface_degenerate(self):
         G = make_graph(

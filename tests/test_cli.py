@@ -23,6 +23,10 @@ from mmgraph.cli import _scalar_csv, main, read_scalar_csv, read_vector_csv
 from mmgraph.util import dump_json, parse_int_list
 
 GRID_SPEC = '{"kind": "grid", "h": 0.25, "rect": [0, 0, 1, 1]}'
+L_SPEC = {"kind": "simplicial", "h": 0.25, "points": [[0, 0], [1, 0], [1, 1]],
+          "segments": [[0, 1], [1, 2]]}
+FAR_SPEC = dict(L_SPEC, points=[[0, 0], [1e308, 0], [-1e308, 0]])
+FINE_SPEC = {"kind": "simplicial", "points": [[0, 0], [1, 0]], "segments": [[0, 1]], "h": 1e-9}
 
 
 def run(*argv):
@@ -490,6 +494,14 @@ class TestAmleCommand:
             "amle", "--graph", path11, "--boundary", b_csv, "--metric", "graph"
         ) == 2
 
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_unknown_boundary_id_exits_2(self, grid_path, tmp_path, capsys, whole):
+        b_csv = tmp_path / "b.csv"
+        write_csv(b_csv, [(0, 0.0), (8, 1.0), (999, 2.0)])
+        flags = ["--whole-boundary"] if whole else []
+        assert run("amle", "--graph", grid_path, "--boundary", b_csv, *flags) == 2
+        assert capsys.readouterr().err == "error: unknown vertex id 999\n"
+
     def test_nonconvergence_exits_4(self, path11, tmp_path):
         b_csv = tmp_path / "b.csv"
         write_csv(b_csv, [(0, 0.0), (10, 1.0)])
@@ -591,9 +603,12 @@ class TestErrorPaths:
         write_csv(b_csv, [(0, 0.0), (0, 1.0)])
         assert run("extend", "--graph", path11, "--boundary", b_csv) == 2
 
-    def test_oversized_gen(self, tmp_path):
-        spec = '{"kind": "grid", "h": 1e-05, "rect": [0, 0, 1, 1]}'
-        assert run("gen", "--spec", spec, "--out", tmp_path / "g.json") == 2
+    @pytest.mark.parametrize(
+        "spec", [{"kind": "grid", "h": 1e-05, "rect": [0, 0, 1, 1]}, FINE_SPEC, FAR_SPEC],
+        ids=["grid", "simplicial-fine", "simplicial-far"],
+    )
+    def test_oversized_gen(self, spec, tmp_path):
+        assert run("gen", "--spec", json.dumps(spec), "--out", tmp_path / "g.json") == 2
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -617,6 +632,30 @@ class TestErrorPaths:
             ("gen", {"kind": "carpet", "level": "2"}),
             ("gen", {"kind": "carpet", "level": 2.5}),
             ("gen", {"kind": "carpet", "level": True}),
+            ("gen", dict(L_SPEC, segments=[[0, "a"]])),
+            ("gen", dict(L_SPEC, segments=5)),
+            ("gen", dict(L_SPEC, segments=None)),
+            ("gen", dict(L_SPEC, segments=[[0.7, 1]])),
+            ("gen", dict(L_SPEC, segments=[["0", "1"]])),
+            ("gen", dict(L_SPEC, atoms=[[0]])),
+            ("gen", dict(L_SPEC, atoms={"x": 1})),
+            ("gen", dict(L_SPEC, atoms=5)),
+            ("gen", dict(L_SPEC, atoms=[[0, "x"]])),
+            ("gen", dict(L_SPEC, atoms=[[True, 1]])),
+            ("gen", FAR_SPEC),
+            ("gen", dict(L_SPEC, points=[[0, 0], ["1", 0], [1, 1]])),
+            ("gen", {"kind": "collapsed", "h": 0.25, "e": [["0.5", 0.5]], "box": [0, 0, 1, 1]}),
+            ("gen", {"kind": "cusp", "h": 0.25, "psi_samples": [[0.5]]}),
+            ("gen", {"kind": "cusp", "h": 0.25, "psi_samples": [["a", 1]]}),
+            ("gen", {"kind": "cusp", "h": 0.25, "psi_samples": 5}),
+            ("gen", {"kind": "cusp", "h": 0.25, "psi_samples": [["0.5", 0.25], [1, 1]]}),
+            ("gen", {"kind": "cusp", "h": 0.25, "psi": 5}),
+            ("gen", {"kind": "multi_collapse", "h": 0.25, "e_list": 5, "box": [0, 0, 1, 1]}),
+            ("gen", {"kind": "grid", "h": 1e-320, "rect": [0, 0, 1, 1]}),
+            ("gen", {"kind": "grid", "h": 0.25, "rect": [-1e308, 0, 1e308, 1]}),
+            ("gen", {"kind": "grid", "h": 0.25, "disc": [0, 0, 1e308]}),
+            ("gen", {"kind": "cusp", "h": 1e-320, "psi": "exp"}),
+            ("gen", dict(L_SPEC, points=[[0], [1], [2]], triangles=[[0, 1, 2]])),
             ("audit", {"vertices": [{"id": True, "mu": 1.0}], "edges": []}),
             ("audit", {"vertices": [[0, 1.0]], "edges": []}),
             ("audit", {"vertices": {"id": 0}, "edges": []}),
@@ -652,6 +691,12 @@ class TestErrorPaths:
             "collapsed-no-e", "collapsed-no-box", "collapsed-bad-e", "h-string",
             "h-bool", "rect-short", "disc-string", "carpet-no-level",
             "carpet-level-string", "carpet-level-float", "carpet-level-bool",
+            "segment-string", "segments-number", "segments-null", "segment-float",
+            "segment-strings", "atom-short", "atoms-object", "atoms-number",
+            "atom-mass-string", "atom-bool", "points-far", "point-string", "e-string",
+            "psi-sample-short", "psi-sample-string", "psi-samples-number",
+            "psi-sample-t-string", "psi-number", "e-list-number", "h-subnormal",
+            "rect-past-floats", "disc-past-floats", "cusp-h-subnormal", "triangle-1d",
             "vertex-id-bool", "vertex-not-object", "vertices-not-list",
             "edge-end-bool", "mu-string", "pos-string", "len-string",
             "mu-edge-bool", "mu-sum-overflow", "qc-max-pairs-negative",

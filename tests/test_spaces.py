@@ -70,9 +70,26 @@ class TestGenGrid:
         with pytest.raises(InputError):
             gen_grid(0.25, disc=(0, 0, -1.0))
 
-    def test_size_guard(self):
+    def test_numbers_are_read_as_mesh_spec_reads_them(self):
+        for h, rect in ((True, (0, 0, 1, 1)), (0.25, ("0", 0, 1, 1))):
+            with pytest.raises(InputError):
+                gen_grid(h, rect=rect)
+            with pytest.raises(InputError):
+                MeshSpec.from_dict({"kind": "grid", "h": h, "rect": list(rect)}).build()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "grid", "h": 1e-5, "rect": [0.0, 0.0, 1.0, 1.0]},
+            {"kind": "simplicial", "points": [[0, 0], [1, 0]], "segments": [[0, 1]], "h": 1e-9},
+            {"kind": "simplicial", "points": [[0, 0], [1e308, 0], [-1e308, 0]],
+             "segments": [[0, 1], [1, 2]], "h": 0.25},
+        ],
+        ids=["grid", "simplicial-fine", "simplicial-far"],
+    )
+    def test_size_guard(self, spec):
         with pytest.raises(SizeError):
-            gen_grid(1e-5, rect=(0.0, 0.0, 1.0, 1.0))
+            MeshSpec.from_dict(spec).build()
 
 
 class TestGenCusp:
@@ -293,6 +310,14 @@ class TestSimplicial:
             gen_simplicial(
                 {"points": [(0, 0), (1, 0, 0)], "segments": [(0, 1)], "h": 0.25}
             )
+        with pytest.raises(InputError, match="segments"):
+            gen_simplicial(dict(self.L_SPEC, segments=[(0.0, 1)]))
+        with pytest.raises(InputError, match="atoms"):
+            gen_simplicial(dict(self.L_SPEC, atoms=[(True, 1.0)]))
+        with pytest.raises(InputError, match="atom points"):
+            gen_simplicial(dict(self.L_SPEC, atoms=[(2.0, 1.0)]))
+        with pytest.raises(InputError, match="points"):
+            gen_simplicial(dict(self.L_SPEC, points=[(0, 0), ("1", 0), (1, 1)]))
 
 
 class TestCarpet:
