@@ -362,9 +362,10 @@ def gen_simplicial(spec: Mapping) -> MetricMeasureGraph:
     strings and booleans are refused.  Segments subdivide into chains
     whose vertex measures split the length; triangles triangulate
     regularly, each small triangle crediting a third of its area to its
-    corners.  Mesh vertices merge by exact position, so simplices glue
-    where their boundaries coincide (triangles sharing a full side need
-    equal subdivision counts, which equal side lengths give).  A complex
+    corners.  Mesh points equal after rounding to 9 decimals merge into
+    one vertex at the first one's position, so simplices glue where their
+    boundaries coincide (triangles sharing a full side need equal
+    subdivision counts, which equal side lengths give).  A complex
     of more than 30,000,000 mesh points, counted before merging, is a
     ``SizeError``.
     """
@@ -387,7 +388,7 @@ def gen_simplicial(spec: Mapping) -> MetricMeasureGraph:
         bad = (T[:, 0] < 0) | (T[:, -1] >= len(pts)) | np.any(T[:, 1:] == T[:, :-1], axis=1)
         if bad.any():
             raise InputError(f"bad {name} {tuple(S[bad.argmax()].tolist())}")
-    segments, triangles, atom_at = (S.tolist() for S in simplices.values())
+    segments, triangles = simplices["segment"].tolist(), simplices["triangle"].tolist()
     if not segments and not triangles:
         raise InputError("complex has no simplices")
     dim = pts.shape[1]
@@ -413,78 +414,57 @@ def gen_simplicial(spec: Mapping) -> MetricMeasureGraph:
     if size > _MAX_LATTICE:
         raise SizeError(f"complex of over {_MAX_LATTICE} mesh points exceeds the supported size")
 
-    key_of = {}
-    positions: list[tuple[float, ...]] = []
-    measures: list[float] = []
-
-    def vertex_at(p: np.ndarray) -> int:
-        key = tuple(np.round(np.asarray(p, dtype=float), 9))
-        vid = key_of.get(key)
-        if vid is None:
-            vid = len(positions)
-            key_of[key] = vid
-            positions.append(tuple(float(c) for c in p))
-            measures.append(0.0)
-        return vid
-
-    edge_len: dict[tuple[int, int], float] = {}
-
-    def add_edge(a: int, b: int, length: float) -> None:
-        if a == b:
-            return
-        key = (min(a, b), max(a, b))
-        edge_len.setdefault(key, length)
-
-    for (a_i, b_i), L, n in zip(segments, np.asarray(seg_len).tolist(), subdiv):
-        A, B = pts[a_i], pts[b_i]
-        chain = [vertex_at(A + (B - A) * (i / n)) for i in range(n + 1)]
-        for i in range(n):
-            add_edge(chain[i], chain[i + 1], L / n)
-            measures[chain[i]] += L / (2 * n)
-            measures[chain[i + 1]] += L / (2 * n)
-
+    # each simplex's lattice points, and its small simplices as rows of point
+    # numbers: the segments' links, then per triangle lattice point (a, b) its
+    # up cell (a, b), (a + 1, b), (a, b + 1) and its down cell, if it has one
+    seg_len, seg_n = np.asarray(seg_len), np.asarray(subdiv[:len(seg_len)], dtype=np.int64)
+    points = [pts[a] + (pts[b] - pts[a]) * (np.arange(n + 1) / n)[:, None]
+              for (a, b), n in zip(segments, seg_n.tolist())]
+    start = int(np.sum(seg_n + 1))
+    tails = np.delete(np.arange(start), np.cumsum(seg_n + 1) - 1)  # all but chain ends
+    links, cells = np.c_[tails, tails + 1], [np.empty((0, 3), np.int64)]
+    shares = [np.repeat(seg_len / (2 * seg_n), 2 * seg_n)]
     for (a_i, b_i, c_i), n in zip(triangles, subdiv[len(seg_len):]):
-        A, B, C = pts[a_i], pts[b_i], pts[c_i]
-        u, v = B - A, C - A
+        A, u, v = pts[a_i], pts[b_i] - pts[a_i], pts[c_i] - pts[a_i]
         if dim == 2:
             area = abs(float(u[0] * v[1] - u[1] * v[0])) / 2.0
         else:
             area = float(np.linalg.norm(np.cross(u, v))) / 2.0
-        cell = area / (n * n)
-        grid_ids = {}
-        for a in range(n + 1):
-            for b in range(n + 1 - a):
-                p = A + (B - A) * (a / n) + (C - A) * (b / n)
-                grid_ids[(a, b)] = vertex_at(p)
-        for a in range(n):
-            for b in range(n - a):
-                v0, v1, v2 = grid_ids[(a, b)], grid_ids[(a + 1, b)], grid_ids[(a, b + 1)]
-                for v in (v0, v1, v2):
-                    measures[v] += cell / 3.0
-                if b < n - a - 1:
-                    v3 = grid_ids[(a + 1, b + 1)]
-                    for v in (v1, v2, v3):
-                        measures[v] += cell / 3.0
-        for (a, b), vid in grid_ids.items():
-            for da, db in ((1, 0), (0, 1), (-1, 1)):
-                other = grid_ids.get((a + da, b + db))
-                if other is not None:
-                    pa = np.asarray(positions[vid])
-                    pb = np.asarray(positions[other])
-                    add_edge(vid, other, float(np.linalg.norm(pb - pa)))
+        shares.append(np.full(3 * n * n, area / (n * n) / 3.0))
+        a, b = np.nonzero(np.tri(n + 1, dtype=bool)[::-1])  # a + b <= n, in order
+        points.append(A + u * (a / n)[:, None] + v * (b / n)[:, None])
+        i = np.flatnonzero(a + b < n)
+        j = i + n + 1 - a[i]  # the point (a + 1, b)
+        down = a[i] + b[i] < n - 1
+        cell = np.c_[i, j, i + 1, j, i + 1, j + 1].reshape(-1, 3)
+        cells.append(start + cell[np.c_[np.ones_like(down), down].ravel()])
+        start += a.size
+    cells = np.concatenate(cells)
+    points = np.concatenate(points + [pts[simplices["atom"][:, 0]]])
 
-    for (i,), m in zip(atom_at, masses):
-        measures[vertex_at(pts[i])] += m
+    # points equal after rounding to 9 decimals are one vertex, numbered by
+    # first appearance; a coordinate too large to round is its own key
+    with np.errstate(over="ignore"):
+        key = np.round(points, 9)
+    key = np.where(np.isfinite(key), key, points)
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    vid = np.argsort(np.argsort(first))[inverse.ravel()]
+    pos = points[np.sort(first)]
+    corners = np.r_[links.ravel(), cells.ravel(), start:len(points)]
+    mu = np.bincount(vid[corners], np.concatenate(shares + [masses]))
 
-    keys = sorted(edge_len)
+    # edges are the small simplices' sides; the first one listed gives the length
+    ends = vid[np.r_[links, cells[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)]]
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    listed = np.flatnonzero(lo != hi)
+    e = listed[np.unique(lo[listed] * len(pos) + hi[listed], return_index=True)[1]]
+    d = pos[hi[e]] - pos[lo[e]]
+    length = np.sqrt(d[:, None, :] @ d[:, :, None]).ravel()  # np.linalg.norm's BLAS dot
+    on_link = e < len(links)
+    length[on_link] = np.repeat(seg_len / seg_n, seg_n)[e[on_link]]
     return MetricMeasureGraph.from_arrays(
-        ids=np.arange(len(positions), dtype=np.int64),
-        mu=np.asarray(measures),
-        pos=np.asarray(positions),
-        edge_a=np.asarray([a for a, _ in keys], dtype=np.int64),
-        edge_b=np.asarray([b for _, b in keys], dtype=np.int64),
-        edge_len=np.asarray([edge_len[k] for k in keys]),
-        edge_mu=np.ones(len(keys)),
+        ids=np.arange(len(pos), dtype=np.int64), mu=mu, pos=pos,
+        edge_a=lo[e], edge_b=hi[e], edge_len=length, edge_mu=np.ones(e.size),
     )
 
 
@@ -522,16 +502,12 @@ def gen_carpet(
     if negligible_mode == "all":
         emu = np.zeros(G.n_edges)
     elif callable(negligible_mode):
-        emu = []
-        for e in G.edges():
-            pa = G.pos[G.index_of(e.a)]
-            pb = G.pos[G.index_of(e.b)]
-            info = {
-                "a": e.a, "b": e.b, "len": e.length,
-                "ax": float(pa[0]), "ay": float(pa[1]),
-                "bx": float(pb[0]), "by": float(pb[1]),
-            }
-            emu.append(0.0 if negligible_mode(info) else 1.0)
+        # carpet vertex ids are their indices
+        ia, ib = G._edge_ia, G._edge_ib
+        rows = zip(ia.tolist(), ib.tolist(), G.edge_lengths.tolist(),
+                   *G.pos[ia].T.tolist(), *G.pos[ib].T.tolist())
+        keys = ("a", "b", "len", "ax", "ay", "bx", "by")
+        emu = [0.0 if negligible_mode(dict(zip(keys, row))) else 1.0 for row in rows]
     else:
         raise InputError(f"unknown negligible_mode {negligible_mode!r}")
     return MetricMeasureGraph.from_arrays(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mmgraph import (
@@ -19,8 +21,11 @@ from mmgraph import (
     gen_grid,
     gen_multi_collapse,
     gen_simplicial,
+    save_graph,
     shortest_path,
 )
+
+from conftest import simplicial_reference
 
 
 def vid_at(G, x, y):
@@ -230,6 +235,40 @@ class TestCollapsed:
             gen_collapsed([], self.BOX, 0.25)
 
 
+@st.composite
+def complexes(draw):
+    """A valid simplicial spec with 1-D, 2-D or 3-D points on an eighth grid
+    (signed zeros included), twins that merge only after rounding to 9
+    decimals, repeated and reversed segments, a segment on a triangle side,
+    triangles sharing a side and atoms on any point, on the mesh or off it."""
+    dim = draw(st.integers(1, 3))
+    coord = st.integers(-8, 8).map(lambda k: k / 8) | st.just(-0.0)
+    pts = draw(st.lists(st.tuples(*[coord] * dim).map(list), min_size=3, max_size=6,
+                        unique_by=tuple))
+    for k in draw(st.lists(st.integers(0, len(pts) - 1), max_size=2)):
+        pts.append([c + draw(st.sampled_from([2e-11, -3e-10])) for c in pts[k]])
+    index = st.integers(0, len(pts) - 1)
+    pairs = st.lists(index, min_size=2, max_size=2, unique=True)
+    segments = draw(st.lists(pairs, max_size=3))
+    if segments and draw(st.booleans()):
+        segments += [segments[0][::-1], segments[0]]
+    triangles = []
+    if dim > 1:
+        triangles = draw(st.lists(st.lists(index, min_size=3, max_size=3, unique=True),
+                                  max_size=2))
+        if triangles and draw(st.booleans()):
+            a, b, c = triangles[0]
+            segments.append([b, a])
+            triangles.append([c, b, draw(index.filter(lambda k: k not in (b, c)))])
+    if not segments and not triangles:
+        segments = [[0, 1]]
+    atoms = draw(st.lists(st.tuples(index, st.sampled_from([0.5, 1.25, 3.0])).map(list),
+                          max_size=3))
+    h = draw(st.sampled_from([0.1, 0.2, 0.3, 0.45, 1.0]))
+    return {"points": pts, "segments": segments, "triangles": triangles, "atoms": atoms,
+            "h": h}
+
+
 class TestSimplicial:
     L_SPEC = {
         "points": [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)],
@@ -288,6 +327,41 @@ class TestSimplicial:
         v = vid_at(G, 1.0, 1.0)
         # endpoint share of the last link plus the atom
         assert G.mu[G.index_of(v)] == pytest.approx(0.125 + 0.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=complexes())
+    def test_writes_the_per_point_builders_file(self, spec, tmp_path_factory):
+        try:
+            G = gen_simplicial(spec)
+        except InputError:  # one point twinned twice alike: a zero-length segment
+            return
+        out = tmp_path_factory.mktemp("simplicial")
+        save_graph(G, out / "array.json")
+        save_graph(simplicial_reference(spec), out / "reference.json")
+        assert (out / "array.json").read_bytes() == (out / "reference.json").read_bytes()
+
+    @pytest.mark.parametrize("spec", [
+        {"h": 0.2, "points": [[0, 0, 0], [1, 0, 0], [0, 1, 1], [1, 1, 0], [2, 2, 2]],
+         "segments": [[0, 1], [1, 3], [3, 1], [4, 3]], "triangles": [[0, 1, 2], [1, 3, 2]],
+         "atoms": [[2, 0.5], [4, 1.25]]},
+        {"h": 0.01, "points": [[0, 0], [1, 0], [-0.5, 0.8], [-0.5, -0.8]],
+         "segments": [[0, 1], [0, 2], [0, 3]]},
+        {"h": 0.1, "points": [[0, 0], [1, 0], [0, 1], [1, 1]],
+         "triangles": [[0, 1, 2], [1, 3, 2]], "segments": [[1, 2]]},
+    ], ids=["3d-battery", "star", "square"])
+    def test_larger_meshes_match_the_per_point_builder(self, spec, tmp_path):
+        save_graph(gen_simplicial(spec), tmp_path / "array.json")
+        save_graph(simplicial_reference(spec), tmp_path / "reference.json")
+        assert (tmp_path / "array.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+    def test_far_apart_simplices_stay_apart(self):
+        # rounding these coordinates to 9 decimals overflows; they key as they are
+        spec = {"points": [[1e300, 0], [1e300, 1], [2e300, 0], [2e300, 1]],
+                "segments": [[0, 1], [2, 3]], "h": 0.25}
+        G = gen_simplicial(spec)
+        assert (G.n_vertices, G.n_edges) == (10, 8)
+        assert len(components(G)) == 2
+        assert G.to_dict() == simplicial_reference(spec).to_dict()
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -357,8 +431,20 @@ class TestCarpet:
         assert essential_distance(G, a, b) == math.inf
 
     def test_negligible_predicate(self):
-        cut = lambda e: (e["ax"] < 0.5) != (e["bx"] < 0.5)
+        seen = []
+
+        def cut(e):
+            seen.append(e)
+            return (e["ax"] < 0.5) != (e["bx"] < 0.5)
+
         G = gen_carpet(1, negligible_mode=cut)
+        expected = []
+        for e in G.edges():
+            (ax, ay), (bx, by) = G.pos[G.index_of(e.a)].tolist(), G.pos[G.index_of(e.b)].tolist()
+            expected.append({"a": e.a, "b": e.b, "len": e.length,
+                             "ax": ax, "ay": ay, "bx": bx, "by": by})
+        assert [list(d.items()) for d in seen] == [list(d.items()) for d in expected]
+        assert {tuple(map(type, d.values())) for d in seen} == {(int, int) + (float,) * 5}
         for e in G.edges():
             pa = G.pos[G.index_of(e.a)]
             pb = G.pos[G.index_of(e.b)]
