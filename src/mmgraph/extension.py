@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import connected_components
 
 from .graph import (
     Metric,
@@ -36,6 +35,7 @@ from .graph import (
     _sparse_blocks,
     _values,
     _vertex_set,
+    _virtual_source,
     lipschitz_constant,
 )
 from .util import CertifyError, InputError, LENGTH_TOL, fields_dict
@@ -172,6 +172,9 @@ def mcshane_extend(
     Omega receive +inf, and so does a reachable vertex where Tu(x) is
     past the float range.  Scalar targets only: the inf-convolution
     has no vector analog, which is what the Whitney route is for.
+    L costs what ``lipschitz_constant`` costs, a few searches on most
+    data and up to one per Omega vertex on tied data; Tu is one search
+    more, from a virtual source joined to Omega.
     """
     om, om_idx = _vertex_set(G, omega, "Omega")
     vals = _values(u, om, "boundary data")
@@ -179,7 +182,6 @@ def mcshane_extend(
     metric = G._metric(metric_choice)
     lip = lipschitz_constant(G, dict(zip(om, vals)), metric)
     csr = G._csr(metric)
-    n = G.n_vertices
     # only Omega vertices in x's own component compete at x; offsetting by
     # each component's smallest value keeps every weight at most the
     # distance to that minimum, so no weight overflows when L is tiny
@@ -188,7 +190,7 @@ def mcshane_extend(
     np.minimum.at(floor, labels[om_idx], vals)
     floor = floor[labels]
     if lip > 0:
-        # one search from a virtual source n joined to each y in Omega by
+        # one search from a virtual source joined to each y in Omega by
         # an edge of weight (u(y) - floor) / L; explicit zeros stay edges.
         # Here and in Tu a term that overflows is redone at half scale, as
         # 2 ((u(y)/2 - floor/2) / L): halving such large values is exact
@@ -197,15 +199,7 @@ def mcshane_extend(
             w = (vals - lo) / lip
             big = ~np.isfinite(w)
             w[big] = 2 * ((vals[big] * 0.5 - lo[big] * 0.5) / lip)
-        aug = csr_matrix(
-            (
-                np.concatenate([csr.data, w]),
-                np.concatenate([csr.indices, om_idx]),
-                np.append(csr.indptr, csr.nnz + om_idx.size),
-            ),
-            shape=(n + 1, n + 1),
-        )
-        d = dijkstra(aug, directed=True, indices=n)[:n]
+        d = _virtual_source(csr, om_idx, w)
         # inf * 0 on Omega if L overflowed
         with np.errstate(invalid="ignore", over="ignore"):
             tu = floor + lip * d
@@ -456,7 +450,18 @@ def vector_lipschitz_constant(
     vf: VectorField,
     metric: Metric = None,
 ) -> float:
-    """Largest norm(f(x) - f(y)) / d(x, y) over pairs in the field's domain."""
+    """Largest norm(f(x) - f(y)) / d(x, y) over pairs in the field's domain.
+
+    Under the max norm this is the largest of the coordinates' scalar
+    constants, bit for bit: max_k |a_k - b_k| / d is max_k (|a_k - b_k| / d),
+    as dividing by one d is monotone in floats, and a pair whose
+    difference overflows is redone at half scale in either form.  So each
+    coordinate takes ``lipschitz_constant``'s steepest-pair rounds.  The
+    euclidean norm reads every pair, each from its smaller key's row.
+    """
     keys, idx = _vertex_set(G, vf.values, "vector field")
     vals = _values(vf.values, keys, "vector field", vector=True)
+    if vf.norm == "max":
+        metric = G._metric(metric)  # a predicate is evaluated once, not per coordinate
+        return max((_max_slope(G, idx, col, np.abs, metric) for col in vals.T), default=0.0)
     return _max_slope(G, idx, vals, vf._norms, metric)

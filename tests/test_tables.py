@@ -45,6 +45,7 @@ from mmgraph import (
     gen_grid,
     hajlasz_gradient_from_upper,
     lipschitz_constant,
+    mcshane_extend,
     nagata_cover,
     poincare_constant,
     quasiconvexity_constant,
@@ -934,13 +935,57 @@ class TestWhitneyOracle:
 def dense_slope(G, u, size, metric):
     """The largest slope of ``u`` over pairs of its keys, read from one
     untruncated search from every key, each pair from its smaller key's
-    row."""
+    row.  A pair whose difference overflows is halved first, as
+    2 (size(a/2 - b/2) / d), which is exact for such values."""
     keys = sorted(u)
     idx = np.asarray([G.index_of(k) for k in keys])
     vals = np.asarray([u[k] for k in keys], dtype=float)
     rows = np.atleast_2d(G.distances_from(keys, mask=metric))
     i, j = np.triu_indices(len(keys), k=1)
-    return graph_mod._max_ratio(size(vals[i] - vals[j]), rows[i, idx[j]])
+    d = rows[i, idx[j]]
+    reach = np.isfinite(d)
+    a, b, d = vals[i[reach]], vals[j[reach]], d[reach]
+    with np.errstate(over="ignore"):
+        du = size(a - b)
+        half = size(a * 0.5 - b * 0.5)
+        slope = np.where(np.isinf(du), 2 * (half / d), du / d)
+    return float(np.max(slope, initial=0.0))
+
+
+def walled(G):
+    """``G`` with every edge across x = 0.45 of measure zero: no gap, so
+    the essential metric splits the grid in two."""
+    ia = np.searchsorted(G.vertex_ids, [e.a for e in G.edges()])
+    ib = np.searchsorted(G.vertex_ids, [e.b for e in G.edges()])
+    xa, xb = G.pos[ia, 0], G.pos[ib, 0]
+    cross = (np.minimum(xa, xb) < 0.45) & (np.maximum(xa, xb) > 0.45)
+    ids = G.vertex_ids
+    return MetricMeasureGraph.from_arrays(
+        ids, G.mu, G.pos, ids[ia], ids[ib], G.edge_lengths, np.where(cross, 0.0, 1.0))
+
+
+def grid_audits():
+    """(grid, metric, keys, data) on the h=1/16 and 1/24 grids and their
+    walled copies under the essential metric: the square's boundary, a
+    scattered 10 % and a disc, with smooth, tied and +-1.7e308 data."""
+    for h in (1 / 16, 1 / 24):
+        G = gen_grid(h, (0.0, 0.0, 1.0, 1.0))
+        ids, (x, y) = G.vertex_ids, G.pos.T
+        sets = {
+            "boundary": (np.min(G.pos, axis=1) < 1e-9) | (np.max(G.pos, axis=1) > 1 - 1e-9),
+            "scattered": np.random.default_rng(0).random(ids.size) < 0.1,
+            "disc": np.hypot(x - 0.5, y - 0.4) < 0.3,
+        }
+        data = {
+            "smooth": np.sin(3.5 * x) + y ** 2 + 0.5 * x * y,
+            "tied": (ids % 7).astype(float),
+            "huge": np.where(np.sin(7 * x + 3 * y) > 0, 1.7e308, -1.7e308),
+        }
+        for (graph, metric), (kset, keys), (dname, vals) in itertools.product(
+            [(G, "graph"), (walled(G), "essential")], sets.items(), data.items()
+        ):
+            u = {int(v): float(g) for v, g in zip(ids[keys], vals[keys])}
+            yield pytest.param(graph, metric, u, id=f"{round(1 / h)}-{metric}-{kset}-{dname}")
 
 
 class TestLipschitzOracle:
@@ -953,7 +998,8 @@ class TestLipschitzOracle:
         # data on whole components takes the edge-slope route instead
         assume(any((e.a in keys) != (e.b in keys) for e in G.edges()
                    if metric == "graph" or e.mu_edge > 0))
-        values = st.one_of(st.sampled_from([0.0, 1e300, -1e300]), st.floats(-1e3, 1e3))
+        values = st.one_of(st.sampled_from([0.0, 1e300, -1e300, 1.7e308, -1.7e308]),
+                           st.floats(-1e3, 1e3))
         u = {k: data.draw(values) for k in keys}
         norm = data.draw(st.sampled_from(["max", "euclidean"]))
         f = VectorField({k: (data.draw(values), data.draw(values)) for k in keys}, norm)
@@ -961,6 +1007,50 @@ class TestLipschitzOracle:
             assert lipschitz_constant(G, u, metric) == dense_slope(G, u, np.abs, metric)
             assert vector_lipschitz_constant(G, f, metric) == dense_slope(
                 G, f.values, f._norms, metric)
+
+    @pytest.mark.parametrize("G, metric, u", grid_audits())
+    def test_grids(self, G, metric, u, monkeypatch):
+        """The constant, the McShane extension built on it, and the vector
+        constant of (u, u / 3) under both norms, against one search from
+        every key."""
+        assert lipschitz_constant(G, u, metric) == dense_slope(G, u, np.abs, metric)
+        got = mcshane_extend(G, list(u), u, metric)
+        monkeypatch.setattr(ext_mod, "lipschitz_constant",
+                            lambda G, u, metric: dense_slope(G, u, np.abs, metric))
+        want = mcshane_extend(G, list(u), u, metric)
+        assert np.array_equal(list(got.values()), list(want.values()), equal_nan=True)
+        for norm in ("max", "euclidean"):
+            f = VectorField({k: (v, v / 3) for k, v in u.items()}, norm)
+            assert vector_lipschitz_constant(G, f, metric) == dense_slope(
+                G, f.values, f._norms, metric)
+
+    def test_a_row_searched_from_the_larger_key_does_not_set_the_value(self):
+        """Summed from 0 the path is 1 + 2**-52 long, summed from 3 it is 1.
+        The rounds search 3 first (the largest value, no edge between the
+        keys), but the constant reads the pair from 0's row."""
+        tiny = 2.0 ** -53
+        G = make_graph([(v, 1.0) for v in range(4)], [(0, 1, tiny), (1, 2, tiny), (2, 3, 1.0)])
+        u = {0: 0.0, 3: 1.0}
+        assert G.distances_from([0])[0, 3] > G.distances_from([3])[0, 0]
+        assert lipschitz_constant(G, u) == dense_slope(G, u, np.abs, None) < 1.0
+
+    def test_kernel_calls(self, monkeypatch):
+        """The h=1/32 square-boundary data (128 keys): two rounds of two
+        envelope searches, one row search between them, and no key left
+        whose row holds a pair; 128 searches before the rounds."""
+        G = gen_grid(1 / 32, (0.0, 0.0, 1.0, 1.0))
+        side = (np.min(G.pos, axis=1) < 1e-9) | (np.max(G.pos, axis=1) > 1 - 1e-9)
+        x, y = G.pos[side].T
+        u = dict(zip(G.vertex_ids[side].tolist(), np.sin(3.5 * x) + y ** 2 + 0.5 * x * y))
+        limits, envelopes = [], []
+        monkeypatch.setattr(MetricMeasureGraph, "distances_from", counting(limits))
+        search = graph_mod._virtual_source
+        monkeypatch.setattr(graph_mod, "_virtual_source",
+                            lambda *args: envelopes.append(1) or search(*args))
+        got = lipschitz_constant(G, u)
+        assert (len(limits), len(envelopes)) == (1, 4)
+        monkeypatch.undo()
+        assert got == dense_slope(G, u, np.abs, None)
 
     @pytest.mark.parametrize("audit", ["scalar", "vector"])
     def test_peak_memory_at_h_1_64(self, audit):
