@@ -865,9 +865,10 @@ def lipschitz_constant(
     and the constant is the largest edge slope ``|u(a) - u(b)| / len``,
     with no search.  Otherwise steepest-pair rounds (``_steepest_rounds``,
     three searches a round) set aside every key that no pair steeper than
-    a proven lower bound can end at, and each pair of the keys left is
-    read from its smaller key's row.  On smooth data on a square's
-    boundary that is 5 searches for 128 keys at h=1/32 and 6 for 512 at
+    a proven lower bound can end at, and the smallest key left, whose row
+    they read; each pair of the keys left is read from its smaller key's
+    row.  On smooth data on a square's
+    boundary that is 3 searches for 128 keys at h=1/32 and 3 for 512 at
     h=1/128, where a search from every key makes 128 and 512.  Tied data,
     whose rounds stop when they fail to halve the keys, costs up to one
     search per key.  The value is the one a search from every key gives.
@@ -886,7 +887,7 @@ def _max_slope(G, idx, vals, size, metric) -> float:
     distinct vertex indices ``idx`` (ascending): ``vals`` holds one value
     (or row) per index, and ``size`` maps the differences of many pairs to
     their sizes (``abs``, or a vector norm).  Each pair is read from its
-    smaller key's row; scalar data first prunes the keys by
+    smaller key's row; scalar data first reads and sets aside keys by
     ``_steepest_rounds``."""
     metric = G._metric(metric)
     pos = np.full(G.n_vertices, -1, dtype=np.int64)
@@ -901,16 +902,14 @@ def _max_slope(G, idx, vals, size, metric) -> float:
         # whole components: a geodesic's difference is at most the sum of
         # its edges' differences, so the largest ratio is an edge slope
         return alpha
-    cand, rows = np.arange(idx.size), {}
+    cand = np.arange(idx.size)
     if vals.ndim == 1:
-        alpha, cand, rows = _steepest_rounds(G, metric, idx, vals, alpha, float(d.min()))
-    # each pair of candidates from its smaller key's row: the rows the
-    # rounds searched, then the others one kernel call at a time
-    src = cand[:-1]
-    have = np.isin(src, list(rows))
-    found = np.reshape([rows[a] for a in src[have].tolist()], (-1, G.n_vertices))
-    fresh = ((pos[c], b) for c, b in _distance_blocks(G, idx[src[~have]], metric))
-    for a, block in itertools.chain([(src[have], found)], fresh):
+        alpha, cand = _steepest_rounds(G, metric, idx, vals, alpha, float(d.min()))
+        if alpha == math.inf:  # read exactly: no pair is steeper
+            return alpha
+    # each pair of candidates from its smaller key's row
+    for chunk, block in _distance_blocks(G, idx[cand[:-1]], metric):
+        a = pos[chunk]
         r, c = np.nonzero(cand > a[:, None])
         b = cand[c]
         alpha = max(alpha, _max_diff_ratio(size, vals[a[r]], vals[b], block[r, idx[b]]))
@@ -933,17 +932,16 @@ def _virtual_source(csr: csr_matrix, idx: np.ndarray, w: np.ndarray) -> np.ndarr
     return _dijkstra(aug, directed=True, indices=n)[:n]
 
 
-def _steepest_rounds(G, metric, idx, vals, alpha, dmin) -> tuple[float, np.ndarray, dict]:
+def _steepest_rounds(G, metric, idx, vals, alpha, dmin) -> tuple[float, np.ndarray]:
     """Raise ``alpha``, a lower bound of the largest slope of scalar
     ``vals`` on the keys ``idx``, and prune the keys (Kyng, Rao, Sachdeva
     and Spielman, "Algorithms for Lipschitz Learning on Graphs", §4).
 
-    ``dmin`` is the metric's shortest edge.  Returns ``alpha``, the
-    candidates (the positions of the keys of which some pair may be
-    steeper than ``alpha``) and the row of each key searched, by
-    position.  Every pair with a key outside the candidates has a slope
-    of at most ``alpha``, so the largest slope is ``alpha`` or that of a
-    pair of candidates.
+    ``dmin`` is the metric's shortest edge.  Returns ``alpha`` and the
+    candidates: the positions of the keys of which some pair not yet read
+    may be steeper than ``alpha``.  Every other pair has a slope of at
+    most ``alpha``, so the largest slope is ``alpha`` or that of a pair of
+    candidates.
 
     Each round searches from a virtual source twice, for the envelopes
     U(t) = min_s g_s + beta d(s, t) and L(t) = max_s g_s - beta d(s, t)
@@ -952,8 +950,14 @@ def _steepest_rounds(G, metric, idx, vals, alpha, dmin) -> tuple[float, np.ndarr
     w = (hi - g) / beta likewise.  A key's own term reaches it exactly, as
     its own edge, so a key stays a candidate only where another key's
     term undercuts its w: its own term needs no slack.  Then the row of
-    the candidate furthest outside an envelope raises ``alpha``.  The
-    rounds stop when one fails to halve the candidates, as on tied data.
+    the smallest candidate is searched.  Its pairs with the other
+    candidates are pairs of its smaller key, read as one search from
+    every key reads them, so they raise ``alpha`` exactly and the key
+    leaves the candidates.  Both keys of a pair steeper than beta lie
+    outside an envelope, one above U and one below L, so the candidates
+    keep every such pair not yet read.  The rounds stop when one fails to
+    halve the candidates, as on tied data, when fewer than two are left,
+    and at an ``alpha`` of 0 (no envelope to build) or inf (the answer).
 
     Rounding.  A search sums at most n nonnegative terms along a path,
     within a factor 1 -+ t of the exact sum, t ~ n u with u = 2**-53, and
@@ -964,23 +968,17 @@ def _steepest_rounds(G, metric, idx, vals, alpha, dmin) -> tuple[float, np.ndarr
     the underflow of one division.  A search gives the pair at least
     (1 - t) d(s, t), and d(s, t) >= dmin, so its slope is at most alpha
     when eps >= 2t + u + (t + 4u)(hi - lo) / (alpha dmin) + 2**-1072 / dmin.
-    The eps used takes n 2**-48 = 32 n u for t and u, and 2**-1070.  A
-    row of the larger key of a pair gives its slope within a factor
-    1 -+ (2t + 2u), so each row's largest slope raises ``alpha`` shrunk by
-    1 - n 2**-48.  Data whose differences overflow, a row slope past the
-    float range and an eps of 1/2 or more end the rounds.
+    The eps used takes n 2**-48 = 32 n u for t and u, and 2**-1070.  Data
+    whose differences overflow and an eps of 1/2 or more end the rounds.
     """
-    n, k = G.n_vertices, idx.size
     ids = G.vertex_ids
     csr = G._csr(metric)
-    cand, rows = np.arange(k), {}
+    cand = np.arange(idx.size)
     lo, hi = float(vals.min()), float(vals.max())
     osc = hi - lo
     if not math.isfinite(osc):
-        return alpha, cand, rows
-    rel = n * 2.0**-48
-    searched = np.zeros(k, dtype=bool)
-    excess = vals - lo  # before any envelope, the largest value is searched first
+        return alpha, cand
+    rel = G.n_vertices * 2.0**-48
     while cand.size > 1:
         if alpha > 0:
             with np.errstate(over="ignore", divide="ignore"):
@@ -993,21 +991,15 @@ def _steepest_rounds(G, metric, idx, vals, alpha, dmin) -> tuple[float, np.ndarr
                                 wl - _virtual_source(csr, idx, wl)[idx])
             keep = cand[excess[cand] > 0]
             halved, cand = 2 * keep.size <= cand.size, keep
-            if not halved:
+            if not halved or cand.size < 2:
                 break
-        todo = cand[~searched[cand]]
-        if not todo.size:
+        x, cand = cand[0], cand[1:]
+        row = G.distances_from([int(ids[idx[x]])], mask=metric)[0]
+        alpha = max(alpha, _max_diff_ratio(np.abs, vals[x].repeat(cand.size), vals[cand],
+                                           row[idx[cand]]))
+        if alpha == 0 or alpha == math.inf:  # no envelope to build, or the answer
             break
-        x = int(todo[np.argmax(excess[todo])])
-        searched[x] = True
-        row = rows[x] = G.distances_from([int(ids[idx[x]])], mask=metric)[0]
-        slope = _max_ratio(np.abs(vals - vals[x]), row[idx])
-        if slope == math.inf:  # the smaller key's row may read the pair finite
-            break
-        alpha = max(alpha, slope * (1 - rel))
-        if alpha == 0:  # no envelope to build: every key stays
-            break
-    return alpha, cand, rows
+    return alpha, cand
 
 
 def _max_diff_ratio(size, a: np.ndarray, b: np.ndarray, d: np.ndarray) -> float:

@@ -195,9 +195,19 @@ def gen_cusp(psi, h: float) -> MetricMeasureGraph:
     xs = x0 + np.arange(nx) * h
     ys = y0 + np.arange(ny) * h
 
-    col = np.zeros(nx)
-    strip = (xs > 0) & (xs < 1.0)
-    vals = f(xs[strip])
+    def half_width(X):
+        """Half the domain's height over each abscissa in ``X``: psi on
+        (0, 1) or the ball's half-chord, whichever is larger, else 0."""
+        w_strip = np.zeros_like(X)
+        s = (X > 0) & (X < 1.0)
+        if np.any(s):
+            w_strip[s] = f(X[s])
+        w_ball = np.zeros_like(X)
+        b = (X - cx) ** 2 < _CUSP_RADIUS_SQ
+        w_ball[b] = np.sqrt(_CUSP_RADIUS_SQ - (X[b] - cx) ** 2)
+        return np.maximum(w_strip, w_ball)
+
+    vals = f(xs[(xs > 0) & (xs < 1.0)])
     if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
         raise InputError("psi must be positive and finite on (0, 1)")
     if np.any(np.diff(vals) < -1e-9):
@@ -205,13 +215,7 @@ def gen_cusp(psi, h: float) -> MetricMeasureGraph:
     end = f(np.asarray([1.0]))[0]
     if abs(end - 1.0) > 1e-6:
         raise InputError(f"psi(1) must equal 1, got {end}")
-    col[strip] = vals
-
-    ball_half = np.zeros(nx)
-    inball = (xs - cx) ** 2 < _CUSP_RADIUS_SQ
-    ball_half[inball] = np.sqrt(_CUSP_RADIUS_SQ - (xs[inball] - cx) ** 2)
-    half_width = np.maximum(col, ball_half)
-    keep = np.abs(ys[None, :]) < half_width[:, None]
+    keep = np.abs(ys[None, :]) < half_width(xs)[:, None]
 
     # cell measures: integrate the vertical overlap of each cell with the
     # domain across the cell's x-extent (midpoint rule, 8 nodes)
@@ -222,15 +226,7 @@ def gen_cusp(psi, h: float) -> MetricMeasureGraph:
     yv = ys[jj]
     acc = np.zeros(ii.size)
     for t in nodes:
-        X = xv + t * h
-        w_strip = np.zeros_like(X)
-        s = (X > 0) & (X < 1.0)
-        if np.any(s):
-            w_strip[s] = f(X[s])
-        w_ball = np.zeros_like(X)
-        b = (X - cx) ** 2 < _CUSP_RADIUS_SQ
-        w_ball[b] = np.sqrt(_CUSP_RADIUS_SQ - (X[b] - cx) ** 2)
-        Y = np.maximum(w_strip, w_ball)
+        Y = half_width(xv + t * h)
         over = np.minimum(yv + h / 2, Y) - np.maximum(yv - h / 2, -Y)
         acc += np.maximum(over, 0.0)
     mu[ii, jj] = acc * (h / 8.0)
@@ -422,7 +418,8 @@ def gen_simplicial(spec: Mapping) -> MetricMeasureGraph:
               for (a, b), n in zip(segments, seg_n.tolist())]
     start = int(np.sum(seg_n + 1))
     tails = np.delete(np.arange(start), np.cumsum(seg_n + 1) - 1)  # all but chain ends
-    links, cells = np.c_[tails, tails + 1], [np.empty((0, 3), np.int64)]
+    links = np.c_[tails, tails + 1]
+    cells, sides = [np.empty((0, 3), np.int64)], [links]
     shares = [np.repeat(seg_len / (2 * seg_n), 2 * seg_n)]
     for (a_i, b_i, c_i), n in zip(triangles, subdiv[len(seg_len):]):
         A, u, v = pts[a_i], pts[b_i] - pts[a_i], pts[c_i] - pts[a_i]
@@ -438,6 +435,7 @@ def gen_simplicial(spec: Mapping) -> MetricMeasureGraph:
         down = a[i] + b[i] < n - 1
         cell = np.c_[i, j, i + 1, j, i + 1, j + 1].reshape(-1, 3)
         cells.append(start + cell[np.c_[np.ones_like(down), down].ravel()])
+        sides.append(start + cell[::2, [0, 1, 0, 2, 1, 2]].reshape(-1, 2))  # up cells' sides
         start += a.size
     cells = np.concatenate(cells)
     points = np.concatenate(points + [pts[simplices["atom"][:, 0]]])
@@ -452,19 +450,23 @@ def gen_simplicial(spec: Mapping) -> MetricMeasureGraph:
     pos = points[np.sort(first)]
     corners = np.r_[links.ravel(), cells.ravel(), start:len(points)]
     mu = np.bincount(vid[corners], np.concatenate(shares + [masses]))
+    del key, first, inverse, points, corners, cells, shares
 
-    # edges are the small simplices' sides; the first one listed gives the length
-    ends = vid[np.r_[links, cells[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)]]
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    # edges are the links and the up cells' sides, which are every down
+    # cell's sides too; the first one listed gives the length
+    lo, hi = np.sort(vid[np.concatenate(sides)], axis=1).T
+    del vid, sides
     listed = np.flatnonzero(lo != hi)
     e = listed[np.unique(lo[listed] * len(pos) + hi[listed], return_index=True)[1]]
-    d = pos[hi[e]] - pos[lo[e]]
+    lo, hi = lo[e], hi[e]
+    d = pos[hi] - pos[lo]
     length = np.sqrt(d[:, None, :] @ d[:, :, None]).ravel()  # np.linalg.norm's BLAS dot
+    del listed, d
     on_link = e < len(links)
     length[on_link] = np.repeat(seg_len / seg_n, seg_n)[e[on_link]]
     return MetricMeasureGraph.from_arrays(
         ids=np.arange(len(pos), dtype=np.int64), mu=mu, pos=pos,
-        edge_a=lo[e], edge_b=hi[e], edge_len=length, edge_mu=np.ones(e.size),
+        edge_a=lo, edge_b=hi, edge_len=length, edge_mu=np.ones(e.size),
     )
 
 

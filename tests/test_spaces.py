@@ -1,6 +1,7 @@
 """Tests for the mesh generators and MeshSpec."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -362,6 +363,22 @@ class TestSimplicial:
         assert (G.n_vertices, G.n_edges) == (10, 8)
         assert len(components(G)) == 2
         assert G.to_dict() == simplicial_reference(spec).to_dict()
+
+    def test_peak_memory_at_h_0_004(self):
+        """The unit triangle and one side (63,438 points): the edges come
+        from the up cells' sides only and the build tables are freed before
+        the graph is made, so the peak stays near 34 MB (65 MB when every
+        cell listed its six sides and the tables outlived the build)."""
+        spec = {"points": [[0, 0], [1, 0], [0, 1]], "segments": [[0, 1]],
+                "triangles": [[0, 1, 2]], "h": 0.004}
+        tracemalloc.start()
+        try:
+            G = gen_simplicial(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G.n_vertices == 63438
+        assert peak < 42e6
 
     def test_validation(self):
         with pytest.raises(InputError):

@@ -952,6 +952,20 @@ def dense_slope(G, u, size, metric):
     return float(np.max(slope, initial=0.0))
 
 
+def counted_slope(G, u):
+    """``lipschitz_constant(G, u)``, its ``distances_from`` calls (row
+    searches; the final reduction reads several rows a call) and its
+    virtual-source searches (the envelopes)."""
+    limits, envelopes = [], []
+    search = graph_mod._virtual_source
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MetricMeasureGraph, "distances_from", counting(limits))
+        mp.setattr(graph_mod, "_virtual_source",
+                   lambda *args: envelopes.append(1) or search(*args))
+        got = lipschitz_constant(G, u)
+    return got, len(limits), len(envelopes)
+
+
 def walled(G):
     """``G`` with every edge across x = 0.45 of measure zero: no gap, so
     the essential metric splits the grid in two."""
@@ -1026,31 +1040,60 @@ class TestLipschitzOracle:
 
     def test_a_row_searched_from_the_larger_key_does_not_set_the_value(self):
         """Summed from 0 the path is 1 + 2**-52 long, summed from 3 it is 1.
-        The rounds search 3 first (the largest value, no edge between the
-        keys), but the constant reads the pair from 0's row."""
+        The constant reads the pair from 0's row, as one search from every
+        key does, not from 3's."""
         tiny = 2.0 ** -53
         G = make_graph([(v, 1.0) for v in range(4)], [(0, 1, tiny), (1, 2, tiny), (2, 3, 1.0)])
         u = {0: 0.0, 3: 1.0}
         assert G.distances_from([0])[0, 3] > G.distances_from([3])[0, 0]
         assert lipschitz_constant(G, u) == dense_slope(G, u, np.abs, None) < 1.0
 
-    def test_kernel_calls(self, monkeypatch):
-        """The h=1/32 square-boundary data (128 keys): two rounds of two
-        envelope searches, one row search between them, and no key left
-        whose row holds a pair; 128 searches before the rounds."""
+    def test_kernel_calls(self):
+        """The h=1/32 square-boundary data (128 keys): one round of two
+        envelope searches leaves two keys, the smaller one's row reads
+        their pair, and no key is left whose row holds a pair; 128
+        searches before the rounds."""
         G = gen_grid(1 / 32, (0.0, 0.0, 1.0, 1.0))
         side = (np.min(G.pos, axis=1) < 1e-9) | (np.max(G.pos, axis=1) > 1 - 1e-9)
         x, y = G.pos[side].T
         u = dict(zip(G.vertex_ids[side].tolist(), np.sin(3.5 * x) + y ** 2 + 0.5 * x * y))
-        limits, envelopes = [], []
-        monkeypatch.setattr(MetricMeasureGraph, "distances_from", counting(limits))
-        search = graph_mod._virtual_source
-        monkeypatch.setattr(graph_mod, "_virtual_source",
-                            lambda *args: envelopes.append(1) or search(*args))
-        got = lipschitz_constant(G, u)
-        assert (len(limits), len(envelopes)) == (1, 4)
-        monkeypatch.undo()
+        got, calls, envelopes = counted_slope(G, u)
+        assert (calls, envelopes) == (1, 2)
         assert got == dense_slope(G, u, np.abs, None)
+
+    def test_an_overflowing_row_is_the_answer(self):
+        """A scattered 10 % of the h=1/32 grid, with data 1.7e308 where
+        x > 0.5 and 1.0 elsewhere: no edge between two keys crosses
+        x = 0.5, so the edges seed 0 and the smallest key's row is searched
+        first.  It reads a slope past the float range from the smaller
+        key, so the constant is inf after one row search and no envelope."""
+        G = gen_grid(1 / 32, (0.0, 0.0, 1.0, 1.0))
+        keys = np.random.default_rng(0).random(G.n_vertices) < 0.1
+        vals = np.where(G.pos[keys, 0] > 0.5, 1.7e308, 1.0)
+        u = dict(zip(G.vertex_ids[keys].tolist(), vals.tolist()))
+        got, calls, envelopes = counted_slope(G, u)
+        assert (calls, envelopes) == (1, 0)
+        assert got == dense_slope(G, u, np.abs, None) == math.inf
+
+    def test_a_last_candidate_is_not_searched(self):
+        """Keys 0 and 2 meet through vertex 3 and key 1 is apart: 0's row
+        reads the steep pair (0, 2), and the envelopes then keep 2 alone,
+        whose pairs are all read, so no second row is searched."""
+        G = make_graph([(v, 1.0) for v in range(4)], [(0, 3, 1.0), (3, 2, 1.0)])
+        u = {0: 0.0, 1: 0.0, 2: 1.0}
+        got, calls, envelopes = counted_slope(G, u)
+        assert (calls, envelopes) == (1, 2)
+        assert got == dense_slope(G, u, np.abs, None) == 0.5
+
+    def test_constant_data_reads_the_other_rows_in_one_call(self):
+        """Every other vertex of a path, all 1.0: the first row leaves the
+        bound at 0, so no envelope can be built, and the rounds stop; the
+        reduction reads the other keys' rows in one kernel call."""
+        G = make_graph([(v, 1.0) for v in range(7)], [(v, v + 1, 1.0) for v in range(6)])
+        u = {0: 1.0, 2: 1.0, 4: 1.0, 6: 1.0}
+        got, calls, envelopes = counted_slope(G, u)
+        assert (calls, envelopes) == (2, 0)
+        assert got == dense_slope(G, u, np.abs, None) == 0.0
 
     @pytest.mark.parametrize("audit", ["scalar", "vector"])
     def test_peak_memory_at_h_1_64(self, audit):
