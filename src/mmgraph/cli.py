@@ -12,6 +12,7 @@ invariant failure, 4 solver non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -102,7 +103,7 @@ def _load_spec(text: str) -> dict:
             raw = fh.read()
     try:
         d = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"bad mesh spec JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise InputError("mesh spec must be a JSON object")
@@ -363,7 +364,9 @@ def _add_common(p: argparse.ArgumentParser, graph: bool = True) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mmgraph`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="mmgraph",
         description="metric measure graph analysis, extension, and AMLE runs",

@@ -17,6 +17,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -24,7 +25,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _cc
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
-from .util import InputError
+from .util import InputError, gc_paused
 
 EdgeFilter = Callable[["Edge"], bool]
 
@@ -563,12 +564,12 @@ def _values(
 
 def _int_column(records: Sequence, key: str, message: str) -> np.ndarray | list:
     """The int64 column of ``key``, or ``InputError(message)`` when a record
-    is not a mapping or its field is missing or not an int (a Python or
-    numpy int; a bool is not one).  A column past the int64 range comes
-    back as a list, for ``_record_arrays`` to reject in its turn."""
+    has no field ``key`` or is not a mapping, or the field is not an int (a
+    Python or numpy int; a bool is not one).  A column past the int64 range
+    comes back as a list, for ``_record_arrays`` to reject in its turn."""
     try:
-        col = [r.get(key) for r in records]
-    except AttributeError:
+        col = list(map(itemgetter(key), records))
+    except (LookupError, TypeError, AttributeError):
         raise InputError(message) from None
     if not all(map(_id_type, set(map(type, col)))):
         raise InputError(message)
@@ -594,7 +595,8 @@ def _positions(col: list) -> np.ndarray | None:
 def _record_arrays(vertices: Sequence[Mapping], edges: Sequence[Mapping]) -> tuple:
     """The seven ``_init_arrays`` columns of vertex and edge records.
 
-    Each key's column is taken once and its element types checked once:
+    Each key's column is taken in one ``map`` of an ``itemgetter`` (the
+    optional ``pos`` by ``.get``), and its element types are checked once:
     ids and endpoints must be ints, the other fields numbers.
     """
     ids = _int_column(vertices, "id", "vertex id must be an integer")
@@ -602,13 +604,13 @@ def _record_arrays(vertices: Sequence[Mapping], edges: Sequence[Mapping]) -> tup
     ea, eb = _int_column(edges, "a", ends), _int_column(edges, "b", ends)
     try:
         ids = np.asarray(ids, dtype=np.int64)
-        mu = _floats([v["mu"] for v in vertices], "vertex mu")
+        mu = _floats(list(map(itemgetter("mu"), vertices)), "vertex mu")
         pos = _positions([v.get("pos") for v in vertices])
         ea = np.asarray(ea, dtype=np.int64)
         eb = np.asarray(eb, dtype=np.int64)
-        elen = _floats([e["len"] for e in edges], "edge len")
-        emu = _floats([e["mu_edge"] for e in edges], "edge mu_edge")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        elen = _floats(list(map(itemgetter("len"), edges)), "edge len")
+        emu = _floats(list(map(itemgetter("mu_edge"), edges)), "edge mu_edge")
+    except (LookupError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed vertex or edge record: {exc}") from exc
     return ids, mu, pos, ea, eb, elen, emu
 
@@ -623,12 +625,20 @@ def graph_from_dict(data: Mapping) -> MetricMeasureGraph:
     return MetricMeasureGraph(vertices, edges)
 
 
+@gc_paused()
 def load_graph(path: str | os.PathLike) -> MetricMeasureGraph:
-    """Read a graph from its JSON file form, validating as it loads."""
+    """Read a graph from its JSON file form, validating as it loads.
+
+    The parse and the columns run under ``util.gc_paused``: ``json.load``
+    builds a dict per record, a tree with no reference cycles that
+    reference counting frees, so the cyclic collector has nothing to find
+    there, and its scans would cost more the larger the caller's heap.
+    JSON nested past the recursion limit is malformed JSON too.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"malformed graph JSON: {exc}") from exc
     return graph_from_dict(data)
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import gc
 import itertools
 import json
 from typing import Callable, Sequence, TypeVar
@@ -103,6 +105,28 @@ def table_text(header: Sequence[str], columns: Sequence) -> str:
     return "".join(parts)
 
 
+@contextlib.contextmanager
+def gc_paused():
+    """Run the body with Python's cyclic garbage collector off, and turn it
+    back on afterwards, on an exception too, only if it was on before.
+
+    For the file readers: a parse builds trees of dicts, lists, strs and
+    numbers with no reference cycles, which reference counting frees, so
+    a collection there finds nothing.  But the collector runs on the count
+    of allocations, so a parse of many records would scan what it has just
+    built again and again, and now and then every live object of the
+    process.  The pause only skips those scans.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@gc_paused()
 def read_table(path, width: int | None = None) -> dict[int, list[float]]:
     """The rows of a ``vertex_id,x1,...`` table as id -> [x1, ...].
 
@@ -110,10 +134,16 @@ def read_table(path, width: int | None = None) -> dict[int, list[float]]:
     integer is skipped) and blank rows are skipped.  Every row has
     ``width`` fields; with ``width=None`` the first row sets the width,
     which must be at least 2.  ``InputError`` for an empty table, a row
-    of another width, an unreadable id or number, or a repeated id.
+    of another width, an unreadable id or number, a repeated id, or a
+    row the csv module rejects (a field past ``csv.field_size_limit()``).
+    The read and the conversion run under ``gc_paused``: they build rows
+    of strs and floats, which hold no reference cycles.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
+        try:
+            rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
+        except csv.Error as exc:
+            raise InputError(f"{path}: {exc}") from exc
     if not rows:
         raise InputError(f"{path}: empty table")
     try:

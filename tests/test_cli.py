@@ -741,6 +741,35 @@ class TestErrorPaths:
         what = {"edges": "edge", "vertices": "vertex"}[part]
         assert capsys.readouterr().err == f"error: {what} {key} must be one number per record\n"
 
+    @pytest.mark.parametrize("case", ["graph", "spec-file", "spec-inline"])
+    def test_json_nested_past_the_recursion_limit_exits_2_with_one_line(
+        self, case, tmp_path, capsys
+    ):
+        nested = "[" * 100_000 + "]" * 100_000
+        path = tmp_path / "deep.json"
+        if case == "graph":
+            path.write_text(nested)
+            argv, message = ("audit", "--graph", path), "error: malformed graph JSON: "
+        else:
+            spec = '{"kind": ' + nested + "}"
+            path.write_text(spec)
+            argv = ("gen", "--spec", path if case == "spec-file" else spec,
+                    "--out", tmp_path / "g.json")
+            message = "error: bad mesh spec JSON: "
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+
+    def test_csv_field_past_the_size_limit_exits_2_with_one_line(self, path11, tmp_path, capsys):
+        boundary = tmp_path / "b.csv"
+        boundary.write_text("vertex_id,value\n0," + "1" * (csv.field_size_limit() + 1) + "\n")
+        assert run("extend", "--graph", path11, "--boundary", boundary) == 2
+        limit = csv.field_size_limit()
+        assert capsys.readouterr().err == (
+            f"error: {boundary}: field larger than field limit ({limit})\n"
+        )
+
     def test_id_beyond_int64_exits_2_with_one_line(self, tmp_path, capsys):
         graph = tmp_path / "big.json"
         graph.write_text(json.dumps({"vertices": [{"id": 10**30, "mu": 1.0}], "edges": []}))

@@ -146,6 +146,12 @@ READ_CASES = {
     "newline": ("\n", "empty table", "empty table"),
     "blank file": ("\n \n", "empty table", "empty table"),
     "header only": ("vertex_id,value\n", {}, {}),
+    # the csv module's own error, not a traceback; the limit is not raised
+    "huge field": (
+        "vertex_id,value\n3," + "1" * (csv.field_size_limit() + 1) + "\n",
+        f"field larger than field limit ({csv.field_size_limit()})",
+        f"field larger than field limit ({csv.field_size_limit()})",
+    ),
 }
 
 
